@@ -174,9 +174,10 @@ struct RunResult {
   uint64_t latch_wait_us_total = 0;
   double olc_restarts_per_query = 0;
   double latch_wait_avg_us = 0;
-  /// Raw (self-contained) VO bytes — what wire v1 would have shipped.
+  /// Raw (self-contained) VO bytes — what the answers would cost without
+  /// signature interning.
   uint64_t vo_bytes_total = 0;
-  /// VO bytes actually shipped (wire v2: signature pool + pooled VOs).
+  /// VO bytes actually shipped (per-group signature pools + pooled VOs).
   uint64_t vo_wire_bytes_total = 0;
   uint64_t vo_cache_hits = 0;
   double vo_bytes_per_query = 0;
@@ -193,8 +194,8 @@ struct RunResult {
   uint64_t verify_us_total = 0;
   double verify_coverage = 0;
   double verify_cost_us_per_query = 0;
-  /// Scatter-gather telemetry (shards > 1): wall time authenticating
-  /// partition maps, and sub-queries executed per shard id.
+  /// Scatter-gather telemetry: wall time authenticating partition maps,
+  /// and sub-queries executed per shard id.
   uint64_t map_verify_us_total = 0;
   std::map<uint32_t, uint64_t> shard_queries;
   /// Lazy-trust telemetry (zero under --trust-mode certified). The
@@ -343,11 +344,7 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
         // lying edge is quarantined off the audit schedule too.
         if (director != nullptr) director->WireAlarms(auditor.get());
       }
-      if (cfg.shards > 1) {
-        client.RegisterShardedTable("events", schema);
-      } else {
-        client.RegisterTable("events", schema);
-      }
+      client.RegisterTable("events", schema);
       QueryService* service = services[c % services.size()].get();
       Rng rng(77 + c);
       // Zipf-skewed range starts: hot windows recur within and across
@@ -414,25 +411,16 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
           uint64_t us = static_cast<uint64_t>(t.ElapsedMs() * 1000.0);
           if (!bytes.ok() || bytes->empty()) continue;
           ByteReader r((Slice(*bytes)));
-          if ((*bytes)[0] == static_cast<uint8_t>(BatchWire::kSharded)) {
-            auto out =
-                DeserializeShardedQueryBatchResponse(&r, schema, nb.queries);
-            if (!out.ok()) continue;
-            tally.latencies_us.push_back(us);
-            tally.batches++;
-            tally.queries += nb.queries.size();
-            for (const auto& g : out->groups) {
-              for (const auto& qr : g.resp.responses) {
-                tally.rows += qr.rows.size();
-              }
+          auto out =
+              DeserializeShardedQueryBatchResponse(&r, schema, nb.queries);
+          if (!out.ok()) continue;
+          tally.latencies_us.push_back(us);
+          tally.batches++;
+          tally.queries += nb.queries.size();
+          for (const auto& g : out->groups) {
+            for (const auto& qr : g.resp.responses) {
+              tally.rows += qr.rows.size();
             }
-          } else {
-            auto out = DeserializeQueryBatchResponse(&r, schema, nb.queries);
-            if (!out.ok()) continue;
-            tally.latencies_us.push_back(us);
-            tally.batches++;
-            tally.queries += out->responses.size();
-            for (const auto& qr : out->responses) tally.rows += qr.rows.size();
           }
         }
       }
@@ -589,18 +577,10 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
       batch.queries.push_back(
           SelectQuery{"events", KeyRange{lo, lo + cfg.range_span}, {}, {}});
     }
-    auto record = [&run](const BatchExecStats& stats) {
-      run.shared_fetch_hits = stats.shared_fetch_hits;
-      run.tuple_fetches = stats.tuple_fetches;
-    };
-    if (cfg.shards > 1) {
-      auto resp = (*edges)[0]->HandleQueryBatchSharded(
-          batch, /*bypass_vo_cache=*/true);
-      if (resp.ok()) record(resp->stats);
-    } else {
-      auto resp =
-          (*edges)[0]->HandleQueryBatch(batch, /*bypass_vo_cache=*/true);
-      if (resp.ok()) record(resp->stats);
+    auto resp = (*edges)[0]->HandleQueryBatch(batch, /*bypass_vo_cache=*/true);
+    if (resp.ok()) {
+      run.shared_fetch_hits = resp->stats.shared_fetch_hits;
+      run.tuple_fetches = resp->stats.tuple_fetches;
     }
   }
   return run;
@@ -749,7 +729,7 @@ WriteMixResult RunWriteMix(CentralServer* central, DistributionHub* hub,
     QueryService service((*edges)[0].get(), sopts);
     Client client("edgedb", central->key_directory());
     Schema schema = PaperSchema();
-    client.RegisterShardedTable("events", schema);
+    client.RegisterTable("events", schema);
     Rng rng(777);
     const size_t rows_per_bucket = std::max<size_t>(1, n_tuples / kBuckets);
     for (int iter = 0; iter < 32; ++iter) {

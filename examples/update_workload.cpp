@@ -1,18 +1,25 @@
 // Update workload: the §3.4 story. All updates go through the central
-// server (only it can sign); queries follow the digest-locking protocol —
-// a query S-locks its enveloping subtree, a delete X-locks the affected
-// paths, so overlapping operations serialize while disjoint ones proceed.
+// server (only it can sign). The paper's digest-locking protocol — a query
+// S-locks its enveloping subtree, a delete X-locks the affected paths, so
+// overlapping operations serialize while disjoint ones proceed — is shown
+// on a standalone signed tree with its own LockManager; the live system
+// needs no locks (one signing writer per shard, latch-free edge readers).
 //
 // Build & run:  ./build/examples/update_workload
 #include <cstdio>
 #include <thread>
 
 #include "common/random.h"
+#include "crypto/sim_signer.h"
 #include "edge/central_server.h"
 #include "edge/client.h"
 #include "edge/edge_server.h"
 #include "edge/propagation/distribution_hub.h"
 #include "query/executor.h"
+#include "storage/buffer_pool.h"
+#include "storage/disk_manager.h"
+#include "storage/table_heap.h"
+#include "txn/lock_manager.h"
 
 using namespace vbtree;
 
@@ -42,7 +49,6 @@ int main() {
   }
   if (!central.LoadTable("events", rows).ok()) return 1;
   VBTree* tree = central.tree("events");
-  TableHeap* heap = central.heap("events");
   std::printf("loaded 4096 events (height %d, %llu nodes)\n", tree->height(),
               static_cast<unsigned long long>(tree->node_count()));
 
@@ -66,10 +72,29 @@ int main() {
   }
 
   // --- 2. Digest-lock protocol (§3.4) ----------------------------------
-  LockManager* lm = central.lock_manager();
+  // A standalone signed tree over the same rows, wired to its own lock
+  // manager: operations carrying a txn id take the §3.4 digest locks.
+  InMemoryDiskManager disk;
+  BufferPool pool(256, &disk);
+  auto heap_or = TableHeap::Create(&pool, schema);
+  if (!heap_or.ok()) return 1;
+  std::unique_ptr<TableHeap> heap = heap_or.MoveValueUnsafe();
+  SimSigner signer(/*key_seed=*/7);
+  LockManager locks;
+  auto locked_tree = std::make_unique<VBTree>(
+      DigestSchema(central.db_name(), "events", schema,
+                   options.tree_opts.hash_algo, options.tree_opts.modulus_bits),
+      options.tree_opts, &signer, &locks);
+  std::vector<std::pair<Tuple, Rid>> pairs;
+  for (const Tuple& t : rows) {
+    auto rid = heap->Insert(t);
+    if (!rid.ok()) return 1;
+    pairs.emplace_back(t, *rid);
+  }
+  if (!locked_tree->BulkLoad(pairs).ok()) return 1;
   // A delete transaction (txn 1) acquires X locks on [0, 63] and holds
   // them (2PL growing phase).
-  auto removed = tree->DeleteRange(0, 63, /*txn=*/1);
+  auto removed = locked_tree->DeleteRange(0, 63, /*txn=*/1);
   if (!removed.ok()) return 1;
   std::printf("txn1: deleted %zu tuples, still holding its X locks\n",
               *removed);
@@ -78,27 +103,30 @@ int main() {
   disjoint.table = "events";
   disjoint.range = KeyRange{2100, 2200};
   auto ok_query =
-      tree->ExecuteSelect(disjoint, Executor::FetcherFor(heap), /*txn=*/2);
+      locked_tree->ExecuteSelect(disjoint, Executor::FetcherFor(heap.get()),
+                                 /*txn=*/2);
   std::printf("txn2: disjoint query [2100,2200]   -> %s\n",
               ok_query.ok() ? "proceeds concurrently" : "blocked");
-  lm->ReleaseAll(2);
+  locks.ReleaseAll(2);
 
   SelectQuery overlapping;
   overlapping.table = "events";
   overlapping.range = KeyRange{32, 96};
   auto blocked =
-      tree->ExecuteSelect(overlapping, Executor::FetcherFor(heap), /*txn=*/3);
+      locked_tree->ExecuteSelect(overlapping,
+                                 Executor::FetcherFor(heap.get()), /*txn=*/3);
   std::printf("txn3: overlapping query [32,96]    -> %s\n",
               blocked.ok() ? "proceeds (unexpected!)"
                            : blocked.status().ToString().c_str());
-  lm->ReleaseAll(3);
+  locks.ReleaseAll(3);
 
-  lm->ReleaseAll(1);  // txn1 commits
+  locks.ReleaseAll(1);  // txn1 commits
   auto after_commit =
-      tree->ExecuteSelect(overlapping, Executor::FetcherFor(heap), /*txn=*/3);
+      locked_tree->ExecuteSelect(overlapping,
+                                 Executor::FetcherFor(heap.get()), /*txn=*/3);
   std::printf("txn3 retry after txn1 commit       -> %s\n\n",
               after_commit.ok() ? "proceeds" : "blocked");
-  lm->ReleaseAll(3);
+  locks.ReleaseAll(3);
   if (ok_query.ok() != true || blocked.ok() != false ||
       after_commit.ok() != true) {
     return 1;

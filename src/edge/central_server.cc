@@ -156,14 +156,12 @@ Result<std::shared_ptr<CentralServer::ShardState>> CentralServer::MakeShard(
   // signatures minted for this shard verify ONLY against this shard.
   DigestSchema ds(options_.db_name, shard->dist_name, schema, opts.hash_algo,
                   opts.modulus_bits);
-  shard->tree = std::make_unique<VBTree>(std::move(ds), opts, current_signer_,
-                                         &lock_manager_);
+  shard->tree =
+      std::make_unique<VBTree>(std::move(ds), opts, current_signer_);
   return shard;
 }
 
-Status CentralServer::SignMap(TableState* table) {
-  table->map.db_name = options_.db_name;
-  table->map.key_version = key_version_;
+Status CentralServer::SignTableMap(TableState* table) {
   table->map.shards.clear();
   for (const auto& shard : table->shards) {
     ShardEntry entry;
@@ -178,13 +176,19 @@ Status CentralServer::SignMap(TableState* table) {
     if (ds_name != shard->dist_name) entry.lineage = ds_name;
     table->map.shards.push_back(std::move(entry));
   }
-  VBT_RETURN_NOT_OK(table->map.CheckWellFormed());
-  Digest content = table->map.ContentDigest(options_.tree_opts.hash_algo);
-  VBT_ASSIGN_OR_RETURN(table->map.sig, current_signer_->Sign(content));
+  return SignMap(&table->map, &table->map_bytes);
+}
+
+Status CentralServer::SignMap(
+    PartitionMap* map, std::shared_ptr<const std::vector<uint8_t>>* bytes) {
+  map->db_name = options_.db_name;
+  map->key_version = key_version_;
+  VBT_RETURN_NOT_OK(map->CheckWellFormed());
+  Digest content = map->ContentDigest(options_.tree_opts.hash_algo);
+  VBT_ASSIGN_OR_RETURN(map->sig, current_signer_->Sign(content));
   ByteWriter w(128);
-  table->map.Serialize(&w);
-  table->map_bytes =
-      std::make_shared<const std::vector<uint8_t>>(w.TakeBuffer());
+  map->Serialize(&w);
+  *bytes = std::make_shared<const std::vector<uint8_t>>(w.TakeBuffer());
   return Status::OK();
 }
 
@@ -234,7 +238,7 @@ Result<table_id_t> CentralServer::CreateTable(
       if (!last) lo = split_points[i];
     }
   }
-  VBT_RETURN_NOT_OK(SignMap(state.get()));
+  VBT_RETURN_NOT_OK(SignTableMap(state.get()));
   {
     std::unique_lock maps(maps_mu_);
     tables_[name] = std::move(state);
@@ -284,8 +288,7 @@ Status CentralServer::LoadTable(const std::string& name,
   return Status::OK();
 }
 
-Status CentralServer::ApplyInsert(ShardState* shard, const Tuple& tuple,
-                                  txn_id_t txn) {
+Status CentralServer::ApplyInsert(ShardState* shard, const Tuple& tuple) {
   std::unique_lock lock(shard->mu);
   VBT_ASSIGN_OR_RETURN(Rid rid, shard->heap->Insert(tuple));
 
@@ -298,7 +301,7 @@ Status CentralServer::ApplyInsert(ShardState* shard, const Tuple& tuple,
   op.rid = rid;
   VBT_ASSIGN_OR_RETURN(op.material, shard->tree->MakeEntryMaterial(tuple));
   shard->tree->set_signature_log(&op.resigned);
-  Status insert_status = shard->tree->Insert(tuple, rid, txn);
+  Status insert_status = shard->tree->Insert(tuple, rid);
   shard->tree->set_signature_log(nullptr);
   VBT_RETURN_NOT_OK(insert_status);
   if (shard->log.head_version() + 1 != shard->tree->version()) {
@@ -314,7 +317,7 @@ Status CentralServer::ApplyInsert(ShardState* shard, const Tuple& tuple,
 }
 
 Result<std::future<Status>> CentralServer::InsertTupleAsync(
-    const std::string& name, const Tuple& tuple, txn_id_t txn) {
+    const std::string& name, const Tuple& tuple) {
   for (int attempt = 0;; ++attempt) {
     bool in_view = false;
     {
@@ -335,8 +338,8 @@ Result<std::future<Status>> CentralServer::InsertTupleAsync(
           return Status::Internal("no shard owns key " +
                                   std::to_string(tuple.key()));
         }
-        auto queued = shard->domain->Enqueue([this, shard, tuple, txn] {
-          return ApplyInsert(shard.get(), tuple, txn);
+        auto queued = shard->domain->Enqueue([this, shard, tuple] {
+          return ApplyInsert(shard.get(), tuple);
         });
         if (queued.ok()) return queued;
         // Sealed: the shard is being split away; re-resolve against the
@@ -347,22 +350,20 @@ Result<std::future<Status>> CentralServer::InsertTupleAsync(
       // View-referenced table: maintenance is cross-table, so the op
       // runs on the serialized path and the future is already resolved.
       std::promise<Status> done;
-      done.set_value(InsertTupleSerial(name, tuple, txn));
+      done.set_value(InsertTupleSerial(name, tuple));
       return done.get_future();
     }
     SplitRetryBackoff(attempt);
   }
 }
 
-Status CentralServer::InsertTuple(const std::string& name, const Tuple& tuple,
-                                  txn_id_t txn) {
-  VBT_ASSIGN_OR_RETURN(std::future<Status> done,
-                       InsertTupleAsync(name, tuple, txn));
+Status CentralServer::InsertTuple(const std::string& name, const Tuple& tuple) {
+  VBT_ASSIGN_OR_RETURN(std::future<Status> done, InsertTupleAsync(name, tuple));
   return done.get();
 }
 
 Status CentralServer::InsertTupleSerial(const std::string& name,
-                                        const Tuple& tuple, txn_id_t txn) {
+                                        const Tuple& tuple) {
   std::lock_guard<std::mutex> views(views_mu_);
   for (int attempt = 0;; ++attempt) {
     std::future<Status> done;
@@ -378,8 +379,8 @@ Status CentralServer::InsertTupleSerial(const std::string& name,
         return Status::Internal("no shard owns key " +
                                 std::to_string(tuple.key()));
       }
-      auto queued = shard->domain->Enqueue([this, shard, tuple, txn] {
-        return ApplyInsert(shard.get(), tuple, txn);
+      auto queued = shard->domain->Enqueue([this, shard, tuple] {
+        return ApplyInsert(shard.get(), tuple);
       });
       if (queued.ok()) done = std::move(*queued);
     }
@@ -425,14 +426,14 @@ Status CentralServer::MaintainViewsOnInsert(const std::string& name,
 }
 
 Status CentralServer::ApplyDelete(ShardState* shard, int64_t lo, int64_t hi,
-                                  txn_id_t txn, size_t* removed) {
+                                  size_t* removed) {
   std::unique_lock lock(shard->mu);
   UpdateOp op;
   op.kind = UpdateOp::Kind::kDeleteRange;
   op.lo = lo;
   op.hi = hi;
   shard->tree->set_signature_log(&op.resigned);
-  auto removed_or = shard->tree->DeleteRange(lo, hi, txn);
+  auto removed_or = shard->tree->DeleteRange(lo, hi);
   shard->tree->set_signature_log(nullptr);
   VBT_ASSIGN_OR_RETURN(*removed, std::move(removed_or));
   if (shard->log.head_version() + 1 != shard->tree->version()) {
@@ -443,7 +444,7 @@ Status CentralServer::ApplyDelete(ShardState* shard, int64_t lo, int64_t hi,
 }
 
 Result<size_t> CentralServer::DeleteRange(const std::string& name, int64_t lo,
-                                          int64_t hi, txn_id_t txn) {
+                                          int64_t hi) {
   if (lo > hi) return static_cast<size_t>(0);
   size_t total_removed = 0;
   for (int attempt = 0;; ++attempt) {
@@ -471,8 +472,8 @@ Result<size_t> CentralServer::DeleteRange(const std::string& name, int64_t lo,
           const int64_t clamped_hi = std::min(hi, shard->hi);
           auto count = std::make_shared<size_t>(0);
           auto queued = shard->domain->Enqueue(
-              [this, shard, clamped_lo, clamped_hi, txn, count] {
-                return ApplyDelete(shard.get(), clamped_lo, clamped_hi, txn,
+              [this, shard, clamped_lo, clamped_hi, count] {
+                return ApplyDelete(shard.get(), clamped_lo, clamped_hi,
                                    count.get());
               });
           if (!queued.ok()) {
@@ -491,7 +492,7 @@ Result<size_t> CentralServer::DeleteRange(const std::string& name, int64_t lo,
       std::lock_guard<std::mutex> views(views_mu_);
       VBT_ASSIGN_OR_RETURN(TableState * state, GetTableState(name));
       VBT_ASSIGN_OR_RETURN(size_t removed,
-                           DeleteRangeSerial(state, name, lo, hi, txn));
+                           DeleteRangeSerial(state, name, lo, hi));
       return total_removed + removed;
     }
     Status first_error = Status::OK();
@@ -508,8 +509,7 @@ Result<size_t> CentralServer::DeleteRange(const std::string& name, int64_t lo,
 
 Result<size_t> CentralServer::DeleteRangeSerial(TableState* state,
                                                 const std::string& name,
-                                                int64_t lo, int64_t hi,
-                                                txn_id_t txn) {
+                                                int64_t lo, int64_t hi) {
   // Caller holds views_mu_: all DML on this table is serialized, so the
   // doomed-key set collected before the deletes is exact.
   size_t total_removed = 0;
@@ -530,8 +530,8 @@ Result<size_t> CentralServer::DeleteRangeSerial(TableState* state,
         }
         auto count = std::make_shared<size_t>(0);
         auto queued = shard->domain->Enqueue(
-            [this, shard, clamped_lo, clamped_hi, txn, count] {
-              return ApplyDelete(shard.get(), clamped_lo, clamped_hi, txn,
+            [this, shard, clamped_lo, clamped_hi, count] {
+              return ApplyDelete(shard.get(), clamped_lo, clamped_hi,
                                  count.get());
             });
         if (!queued.ok()) {
@@ -623,7 +623,7 @@ Status CentralServer::SplitShard(const std::string& name, int64_t split_key) {
     // already-signed nodes, trims to its range, and re-signs only the
     // O(height) trim boundary plus its root binding. The per-row and
     // interior signatures transfer verbatim because the children stay in
-    // the parent's digest domain (lineage; see SignMap).
+    // the parent's digest domain (lineage; see SignTableMap).
     VBT_ASSIGN_OR_RETURN(
         left->tree,
         parent->tree->CloneRange(left->dist_name, left->lo, left->hi,
@@ -645,7 +645,7 @@ Status CentralServer::SplitShard(const std::string& name, int64_t split_key) {
   pos = state->shards.insert(pos, std::move(right));
   state->shards.insert(pos, std::move(left));
   state->map.epoch++;
-  return SignMap(state);
+  return SignTableMap(state);
 }
 
 Result<size_t> CentralServer::ShardCount(const std::string& name) const {
@@ -656,6 +656,14 @@ Result<size_t> CentralServer::ShardCount(const std::string& name) const {
 
 Result<PartitionMap> CentralServer::TablePartitionMap(
     const std::string& name) const {
+  {
+    std::shared_lock maps(maps_mu_);
+    auto view_it = views_.find(name);
+    if (view_it != views_.end()) {
+      std::shared_lock vlock(view_it->second->mu);
+      return view_it->second->map;
+    }
+  }
   VBT_ASSIGN_OR_RETURN(const TableState* state, GetTableState(name));
   std::shared_lock layout(state->layout_mu);
   return state->map;
@@ -687,6 +695,10 @@ Result<std::vector<Tuple>> CentralServer::MatchingRows(
 }
 
 Status CentralServer::CreateJoinView(const JoinSpec& spec) {
+  if (spec.view_name.find('#') != std::string::npos) {
+    return Status::InvalidArgument(
+        "view names must not contain '#' (reserved for shard qualifiers)");
+  }
   std::lock_guard<std::mutex> dml(dml_mu_);
   {
     std::shared_lock maps(maps_mu_);
@@ -746,11 +758,17 @@ Status CentralServer::CreateJoinView(const JoinSpec& spec) {
         JoinView::Materialize(spec, options_.db_name, left->schema,
                               right->schema, left_rows, right_rows,
                               pool_.get(), current_signer_, opts));
-    VBT_RETURN_NOT_OK(
-        catalog_.CreateTable(spec.view_name, view->schema(), /*is_view=*/true)
-            .status());
     auto vs = std::make_unique<ViewState>();
     vs->view = std::move(view);
+    // A view is one unsplit shard: id 0, plain name, the whole domain.
+    vs->map.table = spec.view_name;
+    vs->map.epoch = 1;
+    vs->map.shards = {ShardEntry{0, kMinKey, kMaxKey, ""}};
+    VBT_RETURN_NOT_OK(SignMap(&vs->map, &vs->map_bytes));
+    VBT_RETURN_NOT_OK(
+        catalog_.CreateTable(spec.view_name, vs->view->schema(),
+                             /*is_view=*/true)
+            .status());
     {
       std::unique_lock maps(maps_mu_);
       views_[spec.view_name] = std::move(vs);
@@ -890,6 +908,13 @@ std::vector<CentralServer::MapInfo> CentralServer::PartitionMaps() const {
     out.push_back(MapInfo{table, it->second->map.epoch,
                           it->second->map_bytes});
   }
+  for (const std::string& view : view_order_) {
+    auto it = views_.find(view);
+    if (it == views_.end()) continue;
+    std::shared_lock vlock(it->second->mu);
+    out.push_back(
+        MapInfo{view, it->second->map.epoch, it->second->map_bytes});
+  }
   return out;
 }
 
@@ -961,13 +986,15 @@ Status CentralServer::RotateKey(uint64_t now) {
       // entries clear); bump the epoch so the hub re-ships it (and
       // clients advance their epoch floors).
       state->map.epoch++;
-      VBT_RETURN_NOT_OK(SignMap(state.get()));
+      VBT_RETURN_NOT_OK(SignTableMap(state.get()));
     }
     for (auto& [name, vs] : views_) {
       std::unique_lock vlock(vs->mu);
       VBT_RETURN_NOT_OK(vs->view->tree()->ResignAll(
           current_signer_, key_version_,
           Executor::FetcherFor(vs->view->heap())));
+      vs->map.epoch++;
+      VBT_RETURN_NOT_OK(SignMap(&vs->map, &vs->map_bytes));
     }
     return Status::OK();
   };

@@ -23,7 +23,6 @@
 #include "edge/shard_write_domain.h"
 #include "query/join_view.h"
 #include "storage/table_heap.h"
-#include "txn/lock_manager.h"
 #include "vbtree/vb_tree.h"
 
 namespace vbtree {
@@ -131,7 +130,6 @@ class CentralServer {
   const std::string& db_name() const { return options_.db_name; }
   const Catalog& catalog() const { return catalog_; }
   KeyDirectory* key_directory() { return &key_directory_; }
-  LockManager* lock_manager() { return &lock_manager_; }
   uint32_t current_key_version() const { return key_version_; }
 
   // --- DDL / loading ---
@@ -161,17 +159,14 @@ class CentralServer {
   /// domain worker to apply (heap insert, signed tree insert, log
   /// append). Concurrent callers hitting different shards sign in
   /// parallel; callers hitting one shard serialize in enqueue order.
-  Status InsertTuple(const std::string& name, const Tuple& tuple,
-                     txn_id_t txn = 0);
+  Status InsertTuple(const std::string& name, const Tuple& tuple);
   /// Pipelined variant: returns as soon as the op is queued; the future
   /// resolves with the apply status. Per-shard order is the caller's
   /// enqueue order. (Tables referenced by a join view fall back to the
   /// serialized path and return an already-resolved future.)
   Result<std::future<Status>> InsertTupleAsync(const std::string& name,
-                                               const Tuple& tuple,
-                                               txn_id_t txn = 0);
-  Result<size_t> DeleteRange(const std::string& name, int64_t lo, int64_t hi,
-                             txn_id_t txn = 0);
+                                               const Tuple& tuple);
+  Result<size_t> DeleteRange(const std::string& name, int64_t lo, int64_t hi);
 
   /// Splits the shard of `name` owning `split_key` into two shards with
   /// fresh ids: [lo, split_key-1] and [split_key, hi]. Incremental
@@ -218,10 +213,12 @@ class CentralServer {
     return splits_triggered_.load(std::memory_order_relaxed);
   }
 
-  /// Copy of the table's current signed PartitionMap.
+  /// Copy of the current signed PartitionMap of a table or join view.
   Result<PartitionMap> TablePartitionMap(const std::string& name) const;
 
   // --- materialized join views (§3.3 Join) ---
+  /// Materializes the view and signs its one-shard PartitionMap (shard id
+  /// 0, plain view name, epoch 1): a view is read like any unsplit table.
   Status CreateJoinView(const JoinSpec& spec);
   Result<const JoinView*> GetJoinView(const std::string& view_name) const;
 
@@ -269,7 +266,8 @@ class CentralServer {
   /// streams the propagation hub subscribes edges to.
   std::vector<std::string> ShardNames() const;
 
-  /// The signed maps the hub ships ahead of shard data.
+  /// The signed maps the hub ships ahead of shard data: every table's,
+  /// then every join view's.
   struct MapInfo {
     std::string table;
     uint64_t epoch = 0;
@@ -343,7 +341,10 @@ class CentralServer {
 
   struct ViewState {
     std::unique_ptr<JoinView> view;
-    /// Guards the view heap against concurrent export.
+    /// The view's signed one-shard map and its serialized form.
+    PartitionMap map;
+    std::shared_ptr<const std::vector<uint8_t>> map_bytes;
+    /// Guards the view heap and map against concurrent export.
     mutable std::shared_mutex mu;
   };
 
@@ -373,16 +374,15 @@ class CentralServer {
 
   /// Op bodies, run on the owning shard's domain worker. Self-contained:
   /// they take only the shard's own latches.
-  Status ApplyInsert(ShardState* shard, const Tuple& tuple, txn_id_t txn);
-  Status ApplyDelete(ShardState* shard, int64_t lo, int64_t hi, txn_id_t txn,
+  Status ApplyInsert(ShardState* shard, const Tuple& tuple);
+  Status ApplyDelete(ShardState* shard, int64_t lo, int64_t hi,
                      size_t* removed);
 
   /// Serialized DML for tables referenced by a join view (maintenance is
   /// cross-table; views_mu_ restores the pre-pipeline total order).
-  Status InsertTupleSerial(const std::string& name, const Tuple& tuple,
-                           txn_id_t txn);
+  Status InsertTupleSerial(const std::string& name, const Tuple& tuple);
   Result<size_t> DeleteRangeSerial(TableState* state, const std::string& name,
-                                   int64_t lo, int64_t hi, txn_id_t txn);
+                                   int64_t lo, int64_t hi);
   /// Join-view maintenance for one inserted row (caller holds views_mu_).
   Status MaintainViewsOnInsert(const std::string& name, const Tuple& tuple);
 
@@ -395,7 +395,11 @@ class CentralServer {
   /// Recomputes, signs and re-serializes `table`'s map from its current
   /// shard layout (layout latch must be held exclusively by the caller,
   /// or the table not yet published).
-  Status SignMap(TableState* table);
+  Status SignTableMap(TableState* table);
+  /// Signs `map` as it stands under the current key and re-serializes it
+  /// into `*bytes`.
+  Status SignMap(PartitionMap* map,
+                 std::shared_ptr<const std::vector<uint8_t>>* bytes);
 
   /// Finds all rows of `table` matching `value` on column `col` (join
   /// maintenance helper); scans every shard.
@@ -408,7 +412,6 @@ class CentralServer {
 
   Options options_;
   Catalog catalog_;
-  LockManager lock_manager_;
   KeyDirectory key_directory_;
   /// All signers ever created stay alive: trees hold raw pointers, and old
   /// snapshots may still verify against archived versions.

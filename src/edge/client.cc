@@ -25,14 +25,7 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
 
 void Client::RegisterTable(const std::string& table, Schema schema,
                            HashAlgorithm algo, int modulus_bits) {
-  tables_[table] = TableMeta{std::move(schema), algo, modulus_bits,
-                             /*sharded=*/false};
-}
-
-void Client::RegisterShardedTable(const std::string& table, Schema schema,
-                                  HashAlgorithm algo, int modulus_bits) {
-  tables_[table] = TableMeta{std::move(schema), algo, modulus_bits,
-                             /*sharded=*/true};
+  tables_[table] = TableMeta{std::move(schema), algo, modulus_bits};
 }
 
 void Client::BeginPinnedRead() {
@@ -92,7 +85,7 @@ Result<const PartitionMap*> Client::VerifyMapBytes(const std::string& table,
     return Status::VerificationFailure(
         "stale partition map: epoch " + std::to_string(map.epoch) +
         " below this client's floor " + std::to_string(floor) +
-        " (pre-split layout replayed?)");
+        " (layout replayed from before a split or key rotation?)");
   }
   if (pinned_read_) {
     // Mix rejection happens before the signature work (the epoch is
@@ -118,82 +111,6 @@ Result<const PartitionMap*> Client::VerifyMapBytes(const std::string& table,
   slot.bytes.assign(bytes.data(), bytes.data() + bytes.size());
   slot.map = std::move(map);
   return &slot.map;
-}
-
-Result<Client::Verified> Client::QueryOne(EdgeServer* edge,
-                                          const SelectQuery& wire_query,
-                                          const std::string& schema_table,
-                                          const TableMeta& meta, uint64_t now,
-                                          Transport* net,
-                                          const ShardEntry* shard) {
-  EdgeChannels* channels = ResolveChannels(edge, net);
-
-  // --- request over the wire ---
-  ByteWriter req;
-  SerializeSelectQuery(wire_query, &req);
-  if (channels != nullptr) net->Record(channels->up, req.size());
-  VBT_ASSIGN_OR_RETURN(std::vector<uint8_t> resp_bytes,
-                       edge->HandleQueryBytes(Slice(req.buffer())));
-  if (channels != nullptr) net->Record(channels->down, resp_bytes.size());
-
-  // --- parse ---
-  ByteReader r((Slice(resp_bytes)));
-  VBT_ASSIGN_OR_RETURN(
-      QueryResponse resp,
-      DeserializeQueryResponse(&r, meta.schema, wire_query.projection));
-
-  Verified out;
-  out.request_bytes = req.size();
-  out.result_bytes = resp.result_bytes;
-  out.vo_bytes = resp.vo_bytes;
-  out.vo_digests = resp.vo.DigestCount();
-
-  out.replica_version = resp.replica_version;
-
-  // --- key freshness (§3.4): reject stale key versions ---
-  auto rec_or = keys_->RecovererFor(resp.vo.key_version, now);
-  if (!rec_or.ok()) {
-    out.rows = std::move(resp.rows);
-    out.verification = rec_or.status();
-    return out;
-  }
-  std::shared_ptr<Recoverer> base = rec_or.MoveValueUnsafe();
-  CountingRecoverer recoverer(base.get(), &out.counters);
-
-  // --- authenticate under the (shard-qualified) digest schema ---
-  // A lineage shard (split child still in its ancestor's digest domain,
-  // per the client-verified map entry) verifies its per-row and interior
-  // signatures under the ancestor's name, and its VO anchors at the
-  // binding signature tying that root to *this* shard's signed range —
-  // a sibling tree from the same domain can never stand in for it.
-  const bool lineage = shard != nullptr && !shard->lineage.empty();
-  const std::string& digest_table = lineage ? shard->lineage : schema_table;
-  DigestSchema ds(db_name_, digest_table, meta.schema, meta.algo,
-                  meta.modulus_bits);
-  Verifier verifier(std::move(ds), &recoverer);
-  Verifier::TopBinding binding;
-  if (lineage) {
-    binding = Verifier::TopBinding{schema_table, shard->lo, shard->hi};
-    verifier.set_top_binding(&binding);
-  }
-  verifier.set_counters(&out.counters);
-  if (verify_fast_path_ && digest_cache_ != nullptr) {
-    verifier.set_digest_cache(digest_cache_.get(), resp.vo.key_version);
-  }
-  out.verification = verifier.VerifySelect(wire_query, resp.rows, resp.vo);
-  out.rows = std::move(resp.rows);
-
-  // --- replica freshness: flag non-monotonic reads across edges ---
-  // The replica version is reported by the (untrusted) edge outside the
-  // VO, so it only informs the watermark when the answer itself
-  // authenticated — otherwise a tampered response could poison the
-  // staleness signal for every later honest read.
-  if (out.verification.ok()) {
-    uint64_t& watermark = freshness_[schema_table];
-    out.stale_replica = resp.replica_version < watermark;
-    watermark = std::max(watermark, resp.replica_version);
-  }
-  return out;
 }
 
 void Client::MergeVerifiedPart(Verified* merged, Verified part,
@@ -234,68 +151,24 @@ void Client::MergeVerifiedPart(Verified* merged, Verified part,
 Result<Client::Verified> Client::Query(EdgeServer* edge,
                                        const SelectQuery& query, uint64_t now,
                                        Transport* net) {
-  auto meta_it = tables_.find(query.table);
-  if (meta_it == tables_.end()) {
-    return Status::InvalidArgument("table not registered with client: " +
-                                   query.table);
-  }
-  const TableMeta& meta = meta_it->second;
-
-  SelectQuery q = query;
-  q.NormalizeProjection();
-
-  if (!meta.sharded) {
-    return QueryOne(edge, q, q.table, meta, now, net);
-  }
-
-  // --- sharded: authenticate the layout, then scatter-gather ---
-  auto map_bytes = edge->PartitionMapBytes(query.table);
-  if (!map_bytes.ok()) return map_bytes.status();
-  auto map_or = VerifyMapBytes(query.table, meta, Slice(**map_bytes), now);
-  if (!map_or.ok()) {
-    // An unverifiable or stale map is an authentication failure, not a
-    // transport error: the edge presented a layout this client must not
-    // trust.
-    Verified out;
-    out.verification = map_or.status();
-    return out;
-  }
-  const PartitionMap& map = **map_or;
-  std::vector<size_t> owners = map.ShardIndicesForRange(q.range);
-  if (owners.empty()) {
-    return Status::InvalidArgument("empty key range");
-  }
-
-  Verified out;
-  bool first = true;
-  for (size_t idx : owners) {
-    SelectQuery sub = q;
-    const std::string shard = map.shard_name(idx);
-    if (owners.size() == 1) {
-      // Single-shard range: ship the base-table query and let the edge
-      // route it (the expected shard — hence the digest schema — is
-      // still dictated by the client's verified map).
-    } else {
-      sub.table = shard;
-      sub.range.lo = std::max(q.range.lo, map.shards[idx].lo);
-      sub.range.hi = std::min(q.range.hi, map.shards[idx].hi);
-    }
-    auto part = QueryOne(edge, sub, shard, meta, now, net, &map.shards[idx]);
-    if (!part.ok()) {
-      // A shard the signed map dictates is unanswerable: completeness
-      // cannot be established, which is an authentication failure (an
-      // edge must not be able to hide a shard behind an "error").
-      Verified missing;
-      missing.verification = Status::VerificationFailure(
-          "shard " + shard + " unanswered: " + part.status().ToString());
-      MergeVerifiedPart(&out, std::move(missing), first);
-    } else {
-      MergeVerifiedPart(&out, std::move(*part), first);
-    }
-    first = false;
-  }
-  out.map_epoch = map.epoch;
-  out.shards_touched = owners.size();
+  QueryBatch batch;
+  batch.table = query.table;
+  batch.queries.push_back(query);
+  VBT_ASSIGN_OR_RETURN(
+      VerifiedBatch vb,
+      RunBatch(
+          edge,
+          [edge](std::vector<uint8_t> request) {
+            return edge->HandleQueryBatchBytes(Slice(request));
+          },
+          batch, now, /*verifier=*/nullptr, net));
+  // The batch's signature pools serve this one query alone, so the whole
+  // response's VO wire cost (pools plus pooled skeletons) and crypto work
+  // (pool recovery included) are this query's.
+  Verified out = std::move(vb.results[0]);
+  out.request_bytes = vb.request_bytes;
+  out.vo_bytes = vb.stats.vo_wire_bytes;
+  out.counters = vb.crypto;
   return out;
 }
 
@@ -499,6 +372,20 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
                                                    uint64_t now,
                                                    BatchVerifier* verifier,
                                                    Transport* net) {
+  return RunBatch(
+      service->edge(),
+      [service](std::vector<uint8_t> request) {
+        return service->SubmitBatchBytes(std::move(request)).get();
+      },
+      batch, now, verifier, net);
+}
+
+Result<Client::VerifiedBatch> Client::RunBatch(EdgeServer* edge,
+                                               const Dispatch& dispatch,
+                                               const QueryBatch& batch,
+                                               uint64_t now,
+                                               BatchVerifier* verifier,
+                                               Transport* net) {
   auto meta_it = tables_.find(batch.table);
   if (meta_it == tables_.end()) {
     return Status::InvalidArgument("table not registered with client: " +
@@ -522,10 +409,9 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     q.NormalizeProjection();
   }
 
-  EdgeServer* edge = service->edge();
   EdgeChannels* channels = ResolveChannels(edge, net);
 
-  // --- request over the wire, through the edge's submission queue ---
+  // --- request over the wire ---
   ByteWriter req(1 << 10);
   SerializeQueryBatch(b, &req);
   const size_t request_bytes = req.size();
@@ -549,13 +435,11 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     auto served = std::make_shared<RpcCell>();
     VBT_RETURN_NOT_OK(net->Deliver(
         channels->up, Slice(req.buffer()),
-        [service, served](Slice payload) -> Status {
+        [dispatch, served](Slice payload) -> Status {
           VBT_ASSIGN_OR_RETURN(
               std::vector<uint8_t> out,
-              service
-                  ->SubmitBatchBytes(std::vector<uint8_t>(
-                      payload.data(), payload.data() + payload.size()))
-                  .get());
+              dispatch(std::vector<uint8_t>(payload.data(),
+                                            payload.data() + payload.size())));
           std::lock_guard<std::mutex> g(served->mu);
           served->bytes = std::move(out);
           return Status::OK();
@@ -580,8 +464,7 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
       resp_bytes = std::move(delivered->bytes);
     }
   } else {
-    VBT_ASSIGN_OR_RETURN(resp_bytes,
-                         service->SubmitBatchBytes(req.TakeBuffer()).get());
+    VBT_ASSIGN_OR_RETURN(resp_bytes, dispatch(req.TakeBuffer()));
   }
   if (resp_bytes.empty()) {
     // An empty cell means the wire swallowed a leg (e.g. a reordered
@@ -594,63 +477,11 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
   VerifiedBatch out;
   out.request_bytes = request_bytes;
 
-  const bool sharded_wire =
-      resp_bytes[0] == static_cast<uint8_t>(BatchWire::kSharded);
-  if (!sharded_wire) {
-    if (meta.sharded) {
-      // The edge answered with a direct (single-replica) response for a
-      // table the catalog says is sharded. That is legitimate only when
-      // the authenticated map has exactly one shard carrying the plain
-      // table name; anything else is an edge trying to dodge per-shard
-      // verification.
-      const auto map_verify_start = std::chrono::steady_clock::now();
-      auto map_bytes = edge->PartitionMapBytes(batch.table);
-      if (!map_bytes.ok()) return map_bytes.status();
-      auto map_or =
-          VerifyMapBytes(batch.table, meta, Slice(**map_bytes), now);
-      out.map_verify_us = MicrosSince(map_verify_start);
-      if (!map_or.ok()) return map_or.status();
-      const PartitionMap& map = **map_or;
-      if (map.shards.size() != 1 || map.shard_name(0) != batch.table) {
-        return Status::Corruption(
-            "edge answered a sharded table with a direct batch response");
-      }
-      out.map_epoch = map.epoch;
-    }
-    // --- parse + verify the single coalesced response ---
-    ByteReader r((Slice(resp_bytes)));
-    VBT_ASSIGN_OR_RETURN(
-        QueryBatchResponse resp,
-        DeserializeQueryBatchResponse(&r, meta.schema, b.queries));
-    out.replica_version = resp.replica_version;
-    out.stats = resp.stats;
-    const auto verify_start = std::chrono::steady_clock::now();
-    GroupOutcome group =
-        mode == TrustMode::kCertified
-            ? VerifyBatchGroup(batch.table, batch.table, nullptr, meta,
-                               b.queries, resp, now, verifier)
-            : DeferBatchGroup(batch.table, batch.table, nullptr, meta,
-                              b.queries, resp, now, mode, edge->name());
-    out.verify_us = MicrosSince(verify_start);
-    out.results = std::move(group.results);
-    out.crypto = group.crypto;
-    out.top_memo_hits = group.top_memo_hits;
-    out.deferred_queries = group.deferred;
-    out.stale_replica = group.stale_replica;
-    return out;
-  }
-
-  // --- sharded scatter-gather response ---
+  // --- scatter-gather response ---
   ByteReader r((Slice(resp_bytes)));
   VBT_ASSIGN_OR_RETURN(
       ShardedBatchDecoded decoded,
       DeserializeShardedQueryBatchResponse(&r, meta.schema, b.queries));
-  if (!meta.sharded) {
-    // An edge must not be able to force scatter semantics onto a table
-    // the catalog says is unsharded.
-    return Status::Corruption(
-        "edge answered an unsharded table with a sharded batch response");
-  }
 
   // Authenticate the map the edge claims to have scattered under; the
   // decode above already validated the groups against the plan this map
@@ -729,9 +560,8 @@ Result<Client::VerifiedBatch> Client::QueryBatched(QueryService* service,
     out.results[qi].map_epoch = map.epoch;
     if (!started[qi]) {
       // The scatter plan assigned this query to no shard: its range is
-      // empty. Nothing was executed or verified — report that (matching
-      // the unsharded path's validation) instead of a default-OK slot
-      // that would count as authenticated.
+      // empty. Nothing was executed or verified — report that instead of
+      // a default-OK slot that would count as authenticated.
       out.results[qi].verification =
           Status::InvalidArgument("empty key range");
     }

@@ -1,6 +1,7 @@
 #ifndef VBTREE_EDGE_CLIENT_H_
 #define VBTREE_EDGE_CLIENT_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <span>
@@ -31,11 +32,12 @@ class LazyAuditor;
 /// KeyDirectory so results signed with an expired key version are
 /// rejected (§3.4).
 ///
-/// Sharded tables (RegisterShardedTable) add a scatter-gather layer: the
-/// client obtains the table's signed PartitionMap from the edge,
-/// authenticates it (signature + epoch floor), derives which shards a
-/// query must touch, and verifies one VO per shard under that shard's
-/// qualified digest schema. Cross-shard completeness holds because (a)
+/// Every table and join view is a signed PartitionMap of one or more
+/// shards, and every read is a batch (a single query is a batch of one):
+/// the edge scatters it and answers with the map it scattered under; the
+/// client authenticates that map (signature + epoch floor), derives which
+/// shards each query must touch, and verifies one VO per shard under that
+/// shard's qualified digest schema. Cross-shard completeness holds because (a)
 /// the map's signed boundaries dictate exactly which k shards a range
 /// intersects and the client demands exactly those k VOs, (b) each
 /// per-shard VO proves completeness of the range clamped to the shard's
@@ -78,21 +80,20 @@ class Client {
   /// its submission side is thread-safe even though the Client is not.
   void set_auditor(LazyAuditor* auditor) { auditor_ = auditor; }
 
-  /// Registers table metadata (obtained from the central server's catalog
-  /// over an authenticated channel); required before querying the table.
+  /// Registers table (or join view) metadata, obtained from the central
+  /// server's catalog over an authenticated channel; required before
+  /// querying it. Its layout comes from the signed map on every answer.
   void RegisterTable(const std::string& table, Schema schema,
                      HashAlgorithm algo = HashAlgorithm::kSha256,
                      int modulus_bits = 128);
 
-  /// Registers a range-sharded table: queries route through the signed
-  /// PartitionMap (fetched from the edge, client-authenticated) and
-  /// every answer verifies per shard. The "this table is sharded" bit
-  /// travels with the schema over the authenticated catalog channel — a
-  /// malicious edge cannot downgrade a sharded table to an unsharded one
-  /// by withholding its map.
+  /// Alias of RegisterTable, kept for callers written when sharded tables
+  /// registered separately.
   void RegisterShardedTable(const std::string& table, Schema schema,
                             HashAlgorithm algo = HashAlgorithm::kSha256,
-                            int modulus_bits = 128);
+                            int modulus_bits = 128) {
+    RegisterTable(table, std::move(schema), algo, modulus_bits);
+  }
 
   /// Multi-statement read consistency across partition-map generations.
   /// Between Begin/EndPinnedRead, the first map epoch this client
@@ -126,9 +127,10 @@ class Client {
     /// auditor, which alarms if the deferred check fails. Always false
     /// under kCertified.
     bool pending_audit = false;
-    /// Partition-map epoch the answer verified under (0: unsharded).
+    /// Partition-map epoch the answer verified under (>= 1 once the map
+    /// authenticated).
     uint64_t map_epoch = 0;
-    /// Shards this query's range touched (1 for unsharded tables).
+    /// Shards this query's range touched.
     size_t shards_touched = 1;
     size_t request_bytes = 0;
     size_t result_bytes = 0;
@@ -139,12 +141,12 @@ class Client {
     CryptoCounters counters;
   };
 
-  /// Sends `query` to `edge` and verifies the answer at logical time
-  /// `now`. Transport errors surface as the outer Status; authentication
-  /// failures are reported in Verified::verification. Sharded tables
-  /// scatter-gather: a range spanning k shards issues k clamped
-  /// sub-queries and merges their verified rows in shard (= key) order;
-  /// a single-shard range ships as one query the edge routes itself.
+  /// Sends `query` to `edge` as a batch of one (HandleQueryBatchBytes,
+  /// no submission queue) and verifies the answer at logical time `now`
+  /// exactly as QueryBatched does. Transport errors surface as the outer
+  /// Status; authentication failures are reported in
+  /// Verified::verification. `vo_bytes` is the response's whole VO wire
+  /// cost: signature pool(s) plus pooled skeleton(s).
   Result<Verified> Query(EdgeServer* edge, const SelectQuery& query,
                          uint64_t now, Transport* net = nullptr);
 
@@ -152,19 +154,20 @@ class Client {
   /// plus the batch-level telemetry the edge reported.
   struct VerifiedBatch {
     std::vector<Verified> results;
-    /// The one replica version that served the whole batch (minimum
-    /// across shard groups for a sharded batch).
+    /// The replica version that served the batch (minimum across shard
+    /// groups).
     uint64_t replica_version = 0;
     /// Batch-level monotonic-read flag (mirrored into every result).
     bool stale_replica = false;
-    /// Partition-map epoch the batch verified under (0: unsharded).
+    /// Partition-map epoch the batch verified under (0 when the map did
+    /// not authenticate).
     uint64_t map_epoch = 0;
     /// Edge-side telemetry: queue wait, exec time, shared-fetch savings,
-    /// per-component byte totals (group-aggregated when sharded).
+    /// per-component byte totals (aggregated over shard groups).
     BatchExecStats stats;
     size_t request_bytes = 0;
-    /// Sub-queries executed per shard: (shard_id, count). Empty for
-    /// unsharded batches. Feeds the load driver's per-shard qps.
+    /// Sub-queries executed per shard: (shard_id, count). Feeds the load
+    /// driver's per-shard qps.
     std::vector<std::pair<uint32_t, uint64_t>> shard_query_counts;
     /// Client-side crypto work for the whole batch: the pool-recovery
     /// phase (batch-level, not attributable to one query) plus every
@@ -202,12 +205,11 @@ class Client {
   /// Ships a QueryBatch through `service`'s submission queue (full wire
   /// path) and authenticates every per-query VO — fanned across
   /// `verifier`'s worker pool when one is supplied, inline otherwise.
-  /// Sharded tables come back as a scatter-gather response: the client
-  /// re-authenticates the embedded map, recomputes the scatter plan, and
-  /// verifies each shard group under its own digest schema before
-  /// stitching per-query results back together. Monotonic-read semantics
-  /// match Query(): per-shard watermarks only advance on responses that
-  /// authenticated.
+  /// The response is scatter-gather: the client re-authenticates the
+  /// embedded map, recomputes the scatter plan, and verifies each shard
+  /// group under its own digest schema before stitching per-query results
+  /// back together. Per-shard monotonic-read watermarks only advance on
+  /// responses that authenticated.
   ///
   /// `batch.trust_mode` selects the authentication schedule: kCertified
   /// verifies synchronously (above); kLazy/kSampled return immediately
@@ -277,8 +279,12 @@ class Client {
     Schema schema;
     HashAlgorithm algo;
     int modulus_bits;
-    bool sharded = false;
   };
+
+  /// Ships serialized request bytes to an edge and returns its response
+  /// bytes: through a QueryService's queue, or straight to the edge.
+  using Dispatch =
+      std::function<Result<std::vector<uint8_t>>(std::vector<uint8_t>)>;
 
   /// Interned request/response channel ids, cached per edge so the query
   /// hot path records bytes without string lookups.
@@ -318,18 +324,13 @@ class Client {
                                              const TableMeta& meta,
                                              Slice bytes, uint64_t now);
 
-  /// One wire query against `edge`, authenticated under `schema_table`
-  /// (the shard-qualified watermark key; equals wire_query.table for
-  /// unsharded tables). `shard` — the client-verified map entry, when
-  /// sharded — selects the digest schema: a lineage shard (split child
-  /// still in its ancestor's digest domain) verifies under
-  /// `shard->lineage` with the VO anchored at the shard binding
-  /// signature for `schema_table`'s signed range.
-  Result<Verified> QueryOne(EdgeServer* edge, const SelectQuery& wire_query,
-                            const std::string& schema_table,
-                            const TableMeta& meta, uint64_t now,
-                            Transport* net,
-                            const ShardEntry* shard = nullptr);
+  /// The one read path behind Query and QueryBatched: serializes `batch`,
+  /// runs it through `dispatch` over the transport's RPC legs, then
+  /// decodes, authenticates and stitches the scatter-gather response.
+  /// `edge` names the answering edge (channels, audit tickets).
+  Result<VerifiedBatch> RunBatch(EdgeServer* edge, const Dispatch& dispatch,
+                                 const QueryBatch& batch, uint64_t now,
+                                 BatchVerifier* verifier, Transport* net);
 
   /// Folds one shard's verified part into a scattered query's merged
   /// outcome (rows append in shard order, cross-shard boundary check,
@@ -341,9 +342,8 @@ class Client {
   /// `queries` under `digest_table`'s digest schema (== schema_table
   /// except for lineage shards); updates the schema_table watermark.
   /// `binding`, when non-null, anchors every VO at the shard binding
-  /// signature (lineage shards; must outlive the call). The extracted
-  /// core shared by the unsharded batch path and every shard group of a
-  /// scattered batch.
+  /// signature (lineage shards; must outlive the call). Runs once per
+  /// shard group of a response.
   GroupOutcome VerifyBatchGroup(const std::string& schema_table,
                                 const std::string& digest_table,
                                 const Verifier::TopBinding* binding,

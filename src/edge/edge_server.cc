@@ -120,16 +120,6 @@ Status EdgeServer::InstallPartitionMap(Slice map_bytes) {
   return Status::OK();
 }
 
-Result<std::shared_ptr<const std::vector<uint8_t>>>
-EdgeServer::PartitionMapBytes(const std::string& table) const {
-  std::shared_lock lock(mu_);
-  auto it = maps_.find(table);
-  if (it == maps_.end()) {
-    return Status::NotFound("no partition map installed for " + table);
-  }
-  return it->second.bytes;
-}
-
 uint64_t EdgeServer::MapEpoch(const std::string& table) const {
   std::shared_lock lock(mu_);
   auto it = maps_.find(table);
@@ -260,23 +250,6 @@ void EdgeServer::VOCacheLookupBatch(
   }
 }
 
-std::shared_ptr<const EdgeServer::CachedQuery> EdgeServer::VOCacheLookup(
-    const std::string& table, const std::string& key, uint64_t version) const {
-  std::lock_guard guard(vo_cache_mu_);
-  VOCache& cache = vo_caches_[table];
-  if (cache.version != version) {
-    cache.misses++;
-    return nullptr;
-  }
-  auto it = cache.entries.find(key);
-  if (it == cache.entries.end()) {
-    cache.misses++;
-    return nullptr;
-  }
-  cache.hits++;
-  return it->second;
-}
-
 void EdgeServer::VOCacheInsertBatch(
     const std::string& table, uint64_t version,
     std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
@@ -296,14 +269,6 @@ void EdgeServer::VOCacheInsertBatch(
   }
 }
 
-void EdgeServer::VOCacheInsert(const std::string& table,
-                               const std::string& key, uint64_t version,
-                               std::shared_ptr<const CachedQuery> entry) const {
-  std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>> one;
-  one.emplace_back(key, std::move(entry));
-  VOCacheInsertBatch(table, version, std::move(one));
-}
-
 void EdgeServer::VOCacheFlush(const std::string& table) const {
   std::lock_guard guard(vo_cache_mu_);
   auto it = vo_caches_.find(table);
@@ -319,61 +284,6 @@ EdgeServer::VOCacheStats EdgeServer::vo_cache_stats(
   if (it == vo_caches_.end()) return VOCacheStats{};
   return VOCacheStats{it->second.hits, it->second.misses,
                       it->second.entries.size(), it->second.invalidations};
-}
-
-Result<QueryResponse> EdgeServer::HandleQuery(const SelectQuery& query) const {
-  std::string resolved = query.table;
-  std::shared_ptr<TableReplica> replica;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(query.table);
-    if (it == tables_.end()) {
-      // Route through the table's partition map: a base-table query whose
-      // range lies within one shard executes against that shard replica; a
-      // spanning range must be scattered by the caller (it needs one VO
-      // per shard anyway).
-      auto m = maps_.find(query.table);
-      if (m == maps_.end()) {
-        return Status::NotFound("edge server has no replica of " +
-                                query.table);
-      }
-      std::vector<size_t> owners =
-          m->second.map.ShardIndicesForRange(query.range);
-      if (owners.empty()) {
-        return Status::InvalidArgument("empty key range");
-      }
-      if (owners.size() > 1) {
-        return Status::InvalidArgument(
-            "range spans " + std::to_string(owners.size()) + " shards of '" +
-            query.table + "'; scatter one query per shard");
-      }
-      resolved = m->second.map.shard_name(owners[0]);
-      it = tables_.find(resolved);
-      if (it == tables_.end()) {
-        return Status::NotFound("shard replica not installed: " + resolved);
-      }
-    }
-    replica = it->second;
-  }
-  // Execution runs on the pinned replica outside the directory lock.
-  SelectQuery norm = query;
-  norm.table = resolved;
-  norm.NormalizeProjection();
-  const std::string cache_key = VOCacheKey(norm);
-  const uint64_t v0 = replica->tree->version();
-  std::shared_ptr<const CachedQuery> cached =
-      VOCacheLookup(resolved, cache_key, v0);
-  uint64_t served_version = v0;
-  if (cached == nullptr) {
-    VBT_ASSIGN_OR_RETURN(QueryOutput out, replica->tree->ExecuteSelect(
-                                              norm, replica->store.Fetcher()));
-    // The validated read labels the answer with its exact tree version
-    // (== v0 unless replay advanced the tree mid-flight).
-    served_version = out.read_version;
-    cached = MakeCachedQuery(std::move(out));
-    VOCacheInsert(resolved, cache_key, served_version, cached);
-  }
-  return ResponseFromCached(*cached, served_version);
 }
 
 void EdgeServer::ApplyResponseTamper(QueryResponse* resp) const {
@@ -516,33 +426,7 @@ Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
   return resp;
 }
 
-Result<QueryBatchResponse> EdgeServer::HandleQueryBatch(
-    const QueryBatch& batch, bool bypass_vo_cache) const {
-  // The per-query table field is redundant inside a batch (the tree is
-  // selected once below, and ExecuteSelectBatch never reads it), so a
-  // mismatch check suffices — no per-query copies on this hot path.
-  for (const SelectQuery& q : batch.queries) {
-    if (!q.table.empty() && q.table != batch.table) {
-      return Status::InvalidArgument("batch over '" + batch.table +
-                                     "' contains a query on '" + q.table +
-                                     "'");
-    }
-  }
-
-  std::shared_ptr<TableReplica> replica;
-  {
-    std::shared_lock lock(mu_);
-    auto it = tables_.find(batch.table);
-    if (it == tables_.end()) {
-      return Status::NotFound("edge server has no replica of " + batch.table);
-    }
-    replica = it->second;
-  }
-  return ExecuteBatchOnReplica(batch.table, *replica, batch.queries,
-                               bypass_vo_cache);
-}
-
-Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
+Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatch(
     const QueryBatch& batch, bool bypass_vo_cache) const {
   for (const SelectQuery& q : batch.queries) {
     if (!q.table.empty() && q.table != batch.table) {
@@ -554,8 +438,9 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
 
   // ONE brief directory-lock acquisition pins the map and every planned
   // shard replica; the groups then execute latch-free. K concurrent
-  // batches walk the shard trees simultaneously — the old code held one
-  // shared latch across all groups, serializing against every install.
+  // batches walk the shard trees simultaneously. The response carries
+  // the exact map it was scattered under, so a split landing between two
+  // batches can never pair one layout's map with another's replicas.
   std::shared_ptr<const std::vector<uint8_t>> map_bytes;
   std::vector<ShardScatter> plan;
   std::vector<std::pair<std::string, std::shared_ptr<TableReplica>>> pinned;
@@ -608,28 +493,13 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatchSharded(
 Result<std::vector<uint8_t>> EdgeServer::ExecuteBatchToWire(
     const QueryBatch& batch, uint64_t queue_wait_us,
     BatchExecStats* wire_stats) const {
-  bool direct;
-  {
-    std::shared_lock lock(mu_);
-    direct = tables_.count(batch.table) != 0;
-    if (!direct && maps_.count(batch.table) == 0) {
-      return Status::NotFound("edge server has no replica of " + batch.table);
-    }
+  VBT_ASSIGN_OR_RETURN(ShardedQueryBatchResponse resp, HandleQueryBatch(batch));
+  for (ShardBatchGroup& g : resp.groups) {
+    g.resp.stats.queue_wait_us = queue_wait_us;
   }
+  resp.stats.queue_wait_us = queue_wait_us;
   ByteWriter w(1 << 14);
-  if (direct) {
-    VBT_ASSIGN_OR_RETURN(QueryBatchResponse resp, HandleQueryBatch(batch));
-    resp.stats.queue_wait_us = queue_wait_us;
-    SerializeQueryBatchResponse(resp, &w, BatchWire::kV2, wire_stats);
-  } else {
-    VBT_ASSIGN_OR_RETURN(ShardedQueryBatchResponse resp,
-                         HandleQueryBatchSharded(batch));
-    for (ShardBatchGroup& g : resp.groups) {
-      g.resp.stats.queue_wait_us = queue_wait_us;
-    }
-    resp.stats.queue_wait_us = queue_wait_us;
-    SerializeShardedQueryBatchResponse(resp, &w, wire_stats);
-  }
+  SerializeShardedQueryBatchResponse(resp, &w, wire_stats);
   return w.TakeBuffer();
 }
 
@@ -638,16 +508,6 @@ Result<std::vector<uint8_t>> EdgeServer::HandleQueryBatchBytes(
   ByteReader r(request);
   VBT_ASSIGN_OR_RETURN(QueryBatch batch, DeserializeQueryBatch(&r));
   return ExecuteBatchToWire(batch, /*queue_wait_us=*/0, nullptr);
-}
-
-Result<std::vector<uint8_t>> EdgeServer::HandleQueryBytes(
-    Slice request) const {
-  ByteReader r(request);
-  VBT_ASSIGN_OR_RETURN(SelectQuery q, DeserializeSelectQuery(&r));
-  VBT_ASSIGN_OR_RETURN(QueryResponse resp, HandleQuery(q));
-  ByteWriter w(1 << 12);
-  SerializeQueryResponse(resp, &w);
-  return w.TakeBuffer();
 }
 
 Status EdgeServer::TamperValueByKey(const std::string& table, int64_t key,
@@ -683,86 +543,52 @@ const VBTree* EdgeServer::tree(const std::string& table) const {
   return it == tables_.end() ? nullptr : it->second->tree.get();
 }
 
-void SerializeQueryResponse(const QueryResponse& resp, ByteWriter* w) {
-  w->PutU64(resp.replica_version);
-  SerializeResultRows(resp.rows, w);
-  resp.vo.Serialize(w);
-}
-
-Result<QueryResponse> DeserializeQueryResponse(
-    ByteReader* r, const Schema& schema,
-    const std::vector<size_t>& projection) {
-  QueryResponse resp;
-  VBT_ASSIGN_OR_RETURN(resp.replica_version, r->ReadU64());
-  size_t start = r->position();
-  VBT_ASSIGN_OR_RETURN(resp.rows,
-                       DeserializeResultRows(r, schema, projection));
-  resp.result_bytes = r->position() - start;
-  start = r->position();
-  VBT_ASSIGN_OR_RETURN(resp.vo, VerificationObject::Deserialize(r));
-  resp.vo_bytes = r->position() - start;
-  return resp;
-}
-
 void SerializeQueryBatchResponse(const QueryBatchResponse& resp, ByteWriter* w,
-                                 BatchWire wire, BatchExecStats* wire_stats) {
-  w->PutU8(static_cast<uint8_t>(wire));
+                                 BatchExecStats* wire_stats) {
+  w->PutU8(static_cast<uint8_t>(BatchWire::kV2));
   w->PutU64(resp.replica_version);
   w->PutVarint(resp.responses.size());
 
+  // The response bodies are written into a scratch buffer while interning
+  // every signature, so the pool — which a one-pass reader needs first —
+  // can precede them on the wire.
   uint64_t vo_wire_bytes = 0;
-  uint64_t sig_pool_entries = 0;
-  if (wire == BatchWire::kV1) {
-    // Legacy layout: self-contained VOs, no statuses — a failed slot
-    // ships empty rows plus an empty VO, which can never authenticate.
-    for (const QueryResponse& qr : resp.responses) {
-      SerializeResultRows(qr.rows, w);
-      qr.vo.Serialize(w);
+  SignaturePool pool;
+  ByteWriter body(1 << 12);
+  for (const QueryResponse& qr : resp.responses) {
+    if (!qr.status.ok()) {
+      body.PutU8(1);
+      SerializeStatus(qr.status, &body);
+      continue;
     }
-  } else {
-    // v2: the response bodies are written into a scratch buffer while
-    // interning every signature, so the pool — which a one-pass reader
-    // needs first — can precede them on the wire.
-    SignaturePool pool;
-    ByteWriter body(1 << 12);
-    for (const QueryResponse& qr : resp.responses) {
-      if (!qr.status.ok()) {
-        body.PutU8(1);
-        SerializeStatus(qr.status, &body);
-        continue;
-      }
-      body.PutU8(0);
-      SerializeResultRows(qr.rows, &body);
-      const size_t before = body.size();
-      qr.vo.SerializePooled(&body, &pool);
-      vo_wire_bytes += body.size() - before;
-    }
-    const size_t pool_start = w->size();
-    pool.Serialize(w);
-    vo_wire_bytes += w->size() - pool_start;
-    sig_pool_entries = pool.size();
-    w->PutBytes(Slice(body.buffer()));
+    body.PutU8(0);
+    SerializeResultRows(qr.rows, &body);
+    const size_t before = body.size();
+    qr.vo.SerializePooled(&body, &pool);
+    vo_wire_bytes += body.size() - before;
   }
+  const size_t pool_start = w->size();
+  pool.Serialize(w);
+  vo_wire_bytes += w->size() - pool_start;
+  w->PutBytes(Slice(body.buffer()));
 
   w->PutU64(resp.stats.queue_wait_us);
   w->PutU64(resp.stats.exec_us);
   w->PutVarint(resp.stats.nodes_visited);
   w->PutVarint(resp.stats.tuple_fetches);
   w->PutVarint(resp.stats.shared_fetch_hits);
-  if (wire == BatchWire::kV2) {
-    // Raw totals cannot be recomputed from pooled bytes client-side, and
-    // the wire-cost fields are only known post-serialization: ship them.
-    w->PutVarint(resp.stats.total_vo_bytes);
-    w->PutVarint(vo_wire_bytes);
-    w->PutVarint(sig_pool_entries);
-    w->PutVarint(resp.stats.vo_cache_hits);
-    w->PutVarint(resp.stats.olc_restarts);
-    w->PutVarint(resp.stats.latch_wait_us);
-  }
+  // Raw totals cannot be recomputed from pooled bytes client-side, and
+  // the wire-cost fields are only known post-serialization: ship them.
+  w->PutVarint(resp.stats.total_vo_bytes);
+  w->PutVarint(vo_wire_bytes);
+  w->PutVarint(pool.size());
+  w->PutVarint(resp.stats.vo_cache_hits);
+  w->PutVarint(resp.stats.olc_restarts);
+  w->PutVarint(resp.stats.latch_wait_us);
   if (wire_stats != nullptr) {
     *wire_stats = resp.stats;
     wire_stats->vo_wire_bytes = vo_wire_bytes;
-    wire_stats->sig_pool_entries = sig_pool_entries;
+    wire_stats->sig_pool_entries = pool.size();
   }
 }
 
@@ -770,12 +596,10 @@ Result<QueryBatchResponse> DeserializeQueryBatchResponse(
     ByteReader* r, const Schema& schema,
     const std::vector<SelectQuery>& queries) {
   VBT_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
-  if (version != static_cast<uint8_t>(BatchWire::kV1) &&
-      version != static_cast<uint8_t>(BatchWire::kV2)) {
-    return Status::Corruption("unknown batch response wire version " +
+  if (version != static_cast<uint8_t>(BatchWire::kV2)) {
+    return Status::Corruption("unknown shard group wire version " +
                               std::to_string(version));
   }
-  const bool v2 = version == static_cast<uint8_t>(BatchWire::kV2);
 
   QueryBatchResponse resp;
   VBT_ASSIGN_OR_RETURN(resp.replica_version, r->ReadU64());
@@ -790,28 +614,22 @@ Result<QueryBatchResponse> DeserializeQueryBatchResponse(
                               std::to_string(queries.size()));
   }
 
-  SignaturePool pool;
-  uint64_t vo_wire_bytes = 0;
-  if (v2) {
-    const size_t pool_start = r->position();
-    VBT_ASSIGN_OR_RETURN(pool, SignaturePool::Deserialize(r));
-    vo_wire_bytes += r->position() - pool_start;
-  }
+  const size_t pool_start = r->position();
+  VBT_ASSIGN_OR_RETURN(SignaturePool pool, SignaturePool::Deserialize(r));
+  uint64_t vo_wire_bytes = r->position() - pool_start;
 
   resp.responses.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     QueryResponse qr;
     qr.replica_version = resp.replica_version;
-    if (v2) {
-      VBT_ASSIGN_OR_RETURN(uint8_t failed, r->ReadU8());
-      if (failed != 0) {
-        VBT_RETURN_NOT_OK(DeserializeStatus(r, &qr.status));
-        if (qr.status.ok()) {
-          return Status::Corruption("batch error slot carries an OK status");
-        }
-        resp.responses.push_back(std::move(qr));
-        continue;
+    VBT_ASSIGN_OR_RETURN(uint8_t failed, r->ReadU8());
+    if (failed != 0) {
+      VBT_RETURN_NOT_OK(DeserializeStatus(r, &qr.status));
+      if (qr.status.ok()) {
+        return Status::Corruption("batch error slot carries an OK status");
       }
+      resp.responses.push_back(std::move(qr));
+      continue;
     }
     VBT_ASSIGN_OR_RETURN(
         qr.rows, DeserializeResultRows(r, schema, queries[i].projection));
@@ -822,18 +640,12 @@ Result<QueryBatchResponse> DeserializeQueryBatchResponse(
       qr.result_bytes += row.SerializedSize();
     }
     size_t start = r->position();
-    if (v2) {
-      VBT_ASSIGN_OR_RETURN(qr.vo,
-                           VerificationObject::DeserializePooled(r, pool));
-    } else {
-      VBT_ASSIGN_OR_RETURN(qr.vo, VerificationObject::Deserialize(r));
-    }
-    // Under v2 this is the pooled (index-referencing) footprint; the raw
-    // equivalent arrives in the stats trailer.
+    VBT_ASSIGN_OR_RETURN(qr.vo, VerificationObject::DeserializePooled(r, pool));
+    // The pooled (index-referencing) footprint; the raw equivalent
+    // arrives in the stats trailer.
     qr.vo_bytes = r->position() - start;
     vo_wire_bytes += qr.vo_bytes;
     resp.stats.total_result_bytes += qr.result_bytes;
-    if (!v2) resp.stats.total_vo_bytes += qr.vo_bytes;
     resp.responses.push_back(std::move(qr));
   }
 
@@ -842,23 +654,21 @@ Result<QueryBatchResponse> DeserializeQueryBatchResponse(
   VBT_ASSIGN_OR_RETURN(resp.stats.nodes_visited, r->ReadVarint());
   VBT_ASSIGN_OR_RETURN(resp.stats.tuple_fetches, r->ReadVarint());
   VBT_ASSIGN_OR_RETURN(resp.stats.shared_fetch_hits, r->ReadVarint());
-  if (v2) {
-    VBT_ASSIGN_OR_RETURN(resp.stats.total_vo_bytes, r->ReadVarint());
-    // The trailer's wire-cost and pool-size claims are consumed but the
-    // locally measured values win — an edge cannot skew this telemetry.
-    VBT_ASSIGN_OR_RETURN(uint64_t claimed_wire, r->ReadVarint());
-    (void)claimed_wire;
-    resp.stats.vo_wire_bytes = vo_wire_bytes;
-    VBT_ASSIGN_OR_RETURN(uint64_t claimed_pool_entries, r->ReadVarint());
-    (void)claimed_pool_entries;
-    resp.stats.sig_pool_entries = pool.size();
-    VBT_ASSIGN_OR_RETURN(resp.stats.vo_cache_hits, r->ReadVarint());
-    VBT_ASSIGN_OR_RETURN(resp.stats.olc_restarts, r->ReadVarint());
-    VBT_ASSIGN_OR_RETURN(resp.stats.latch_wait_us, r->ReadVarint());
-    // Hand the pool to the client so verification can recover each
-    // distinct signature once (the VOs above carry its indices).
-    resp.sig_pool = std::make_shared<const SignaturePool>(std::move(pool));
-  }
+  VBT_ASSIGN_OR_RETURN(resp.stats.total_vo_bytes, r->ReadVarint());
+  // The trailer's wire-cost and pool-size claims are consumed but the
+  // locally measured values win — an edge cannot skew this telemetry.
+  VBT_ASSIGN_OR_RETURN(uint64_t claimed_wire, r->ReadVarint());
+  (void)claimed_wire;
+  resp.stats.vo_wire_bytes = vo_wire_bytes;
+  VBT_ASSIGN_OR_RETURN(uint64_t claimed_pool_entries, r->ReadVarint());
+  (void)claimed_pool_entries;
+  resp.stats.sig_pool_entries = pool.size();
+  VBT_ASSIGN_OR_RETURN(resp.stats.vo_cache_hits, r->ReadVarint());
+  VBT_ASSIGN_OR_RETURN(resp.stats.olc_restarts, r->ReadVarint());
+  VBT_ASSIGN_OR_RETURN(resp.stats.latch_wait_us, r->ReadVarint());
+  // Hand the pool to the client so verification can recover each
+  // distinct signature once (the VOs above carry its indices).
+  resp.sig_pool = std::make_shared<const SignaturePool>(std::move(pool));
   return resp;
 }
 
@@ -874,7 +684,7 @@ void SerializeShardedQueryBatchResponse(const ShardedQueryBatchResponse& resp,
   for (const ShardBatchGroup& g : resp.groups) {
     w->PutU32(g.shard_id);
     BatchExecStats group_wire;
-    SerializeQueryBatchResponse(g.resp, w, BatchWire::kV2, &group_wire);
+    SerializeQueryBatchResponse(g.resp, w, &group_wire);
     agg.Accumulate(group_wire);
   }
   if (wire_stats != nullptr) *wire_stats = agg;
@@ -885,8 +695,8 @@ Result<ShardedBatchDecoded> DeserializeShardedQueryBatchResponse(
     const std::vector<SelectQuery>& queries) {
   VBT_ASSIGN_OR_RETURN(uint8_t version, r->ReadU8());
   if (version != static_cast<uint8_t>(BatchWire::kSharded)) {
-    return Status::Corruption("not a sharded batch response (version " +
-                              std::to_string(version) + ")");
+    return Status::Corruption("unknown batch response wire version " +
+                              std::to_string(version));
   }
   ShardedBatchDecoded out;
   VBT_ASSIGN_OR_RETURN(Slice map_bytes, r->ReadLengthPrefixed());

@@ -67,14 +67,14 @@ struct BatchExecStats {
   uint64_t tuple_fetches = 0;
   uint64_t shared_fetch_hits = 0;
   uint64_t total_result_bytes = 0;
-  /// Raw (self-contained, v1-equivalent) VO bytes summed over the batch —
-  /// what the batch would have cost without signature interning.
+  /// Raw (self-contained) VO bytes summed over the batch — what the
+  /// batch would have cost without signature interning.
   uint64_t total_vo_bytes = 0;
-  /// Actual VO wire cost under v2: the signature pool plus every
-  /// pool-referencing skeleton. 0 when the response never hit the wire
-  /// (in-process dispatch) or was shipped as v1.
+  /// Actual VO wire cost: the signature pool plus every pool-referencing
+  /// skeleton. 0 when the response never hit the wire (in-process
+  /// dispatch).
   uint64_t vo_wire_bytes = 0;
-  /// Distinct signatures interned into the batch pool (v2 only).
+  /// Distinct signatures interned into the batch pool.
   uint64_t sig_pool_entries = 0;
   /// Queries in this batch answered from the edge's VO cache (skipping
   /// BuildVONode entirely).
@@ -113,12 +113,12 @@ struct QueryBatchResponse {
   std::vector<QueryResponse> responses;
   uint64_t replica_version = 0;
   BatchExecStats stats;
-  /// The batch's signature pool, retained by the wire-v2 deserializer so
-  /// the client's BatchVerifier can recover every distinct signature once
+  /// The batch's signature pool, retained by the deserializer so the
+  /// client's BatchVerifier can recover every distinct signature once
   /// and have the VOs consume the digests by pool index. Null when the
-  /// response was built in-process or arrived as v1. Shared because
-  /// QueryBatchResponse is moved around while verification jobs hold
-  /// pool-index references into it.
+  /// response was built in-process. Shared because QueryBatchResponse is
+  /// moved around while verification jobs hold pool-index references
+  /// into it.
   std::shared_ptr<const SignaturePool> sig_pool;
 };
 
@@ -131,20 +131,21 @@ struct ShardBatchGroup {
   QueryBatchResponse resp;
 };
 
-/// The edge's answer to a batch over a sharded table: the signed map the
-/// edge scattered under (the client re-verifies it — signature, epoch
-/// floor — before trusting the layout), plus one group per planned
-/// shard, ascending by shard index. The scatter resolves every shard
-/// replica under one brief table-map lock, then each group executes
-/// latch-free against its pinned replica — each group's answers carry
-/// the exact tree version its validated reads reflect.
+/// The edge's answer to every batch: the signed map the edge scattered
+/// under (the client re-verifies it — signature, epoch floor — before
+/// trusting the layout), plus one group per planned shard, ascending by
+/// shard index. An unsplit table is a map of one shard, so its answer is
+/// one group. The scatter resolves every shard replica under one brief
+/// table-map lock, then each group executes latch-free against its
+/// pinned replica — each group's answers carry the exact tree version
+/// its validated reads reflect.
 struct ShardedQueryBatchResponse {
   std::shared_ptr<const std::vector<uint8_t>> map_bytes;
   std::vector<ShardBatchGroup> groups;
   BatchExecStats stats;  ///< aggregate over groups
 };
 
-/// Client-side decode of a sharded batch response: the parsed (not yet
+/// Client-side decode of a batch response: the parsed (not yet
 /// trusted) map, the scatter plan recomputed from it, and the per-group
 /// responses. Group count and shard ids are validated against the plan
 /// during decode, so an edge omitting (or duplicating) a shard's answers
@@ -158,8 +159,9 @@ struct ShardedBatchDecoded {
 
 /// An unsecured proxy server at the network edge (Fig. 2): holds replicas
 /// of table *shards* and their VB-trees, plus each table's signed
-/// PartitionMap; executes select-project(-join-view) queries, routing
-/// through the map when a query names the base table; and builds a
+/// PartitionMap (one per table and join view, mandatory: a replica with
+/// no installed map cannot be queried); executes select-project(-join-
+/// view) batches by scattering them through the map; and builds a
 /// verification object for every answer. It cannot sign anything — all
 /// signatures in its replicas came from the central server.
 ///
@@ -185,7 +187,7 @@ class EdgeServer {
   /// is installed, the shard must appear in it — a stale pre-split shard
   /// (or one from a layout this edge has moved past) is rejected with
   /// kInvalidArgument. Tables with no installed map (direct test use)
-  /// are accepted ungated.
+  /// are accepted ungated, but answer no query until their map arrives.
   Status InstallSnapshot(Slice snapshot);
 
   /// Installs a table's signed PartitionMap (shipped by the hub ahead of
@@ -193,13 +195,6 @@ class EdgeServer {
   /// is rejected; a newer one replaces it and drops shard replicas that
   /// are no longer in the layout (their cached proofs go with them).
   Status InstallPartitionMap(Slice map_bytes);
-
-  /// The installed map's serialized bytes (clients fetch + verify these
-  /// to learn the scatter layout), or kNotFound. Shared, not copied:
-  /// the steady-state client re-check is a byte compare against its
-  /// cached verified map.
-  Result<std::shared_ptr<const std::vector<uint8_t>>> PartitionMapBytes(
-      const std::string& table) const;
 
   /// Epoch of the installed map for `table`, or 0 when none.
   uint64_t MapEpoch(const std::string& table) const;
@@ -224,42 +219,26 @@ class EdgeServer {
     return tables_.count(table) != 0;
   }
 
-  /// Executes a query against local replicas and builds the VO. A query
-  /// naming a base table with an installed map is routed to the owning
-  /// shard when its range lies within one shard; a range spanning
-  /// several shards must be scattered by the caller (kInvalidArgument).
-  Result<QueryResponse> HandleQuery(const SelectQuery& query) const;
-
-  /// Full wire path: parse request bytes, execute, serialize response.
-  Result<std::vector<uint8_t>> HandleQueryBytes(Slice request) const;
-
-  /// Executes a QueryBatch against one directly-addressed replica with
-  /// shared traversals (latch-free, batch-wide tuple memo) and builds
-  /// the coalesced response. `bypass_vo_cache` skips the VO cache
-  /// (bench hook: measure tree execution, not response memoization).
-  Result<QueryBatchResponse> HandleQueryBatch(
-      const QueryBatch& batch, bool bypass_vo_cache = false) const;
-
-  /// Scatter-gather execution of a batch naming a base table with an
+  /// Scatter-gather execution of a batch over a table or view with an
   /// installed map: the batch is partitioned per-shard by the
   /// deterministic scatter plan; one brief directory-lock acquisition
   /// pins every planned shard replica, then all groups execute
-  /// latch-free with the usual shared traversals (each group gets its
-  /// own batch-wide tuple memo).
-  Result<ShardedQueryBatchResponse> HandleQueryBatchSharded(
+  /// latch-free with shared traversals (each group gets its own
+  /// batch-wide tuple memo). `bypass_vo_cache` skips the VO cache (bench
+  /// hook: measure tree execution, not response memoization).
+  Result<ShardedQueryBatchResponse> HandleQueryBatch(
       const QueryBatch& batch, bool bypass_vo_cache = false) const;
 
-  /// Full wire path for batches, for callers that bypass a QueryService
-  /// (direct dispatch): the response's queue_wait_us is 0 by definition.
-  /// Queued dispatch goes through QueryService::SubmitBatchBytes, which
-  /// stamps the measured wait into the serialized stats. Dispatches to
-  /// the direct (v2) or sharded (v3) layout by how `batch.table`
-  /// resolves.
+  /// Full wire path for callers that bypass a QueryService (direct
+  /// dispatch, and Client::Query): the response's queue_wait_us is 0 by
+  /// definition. Queued dispatch goes through
+  /// QueryService::SubmitBatchBytes, which stamps the measured wait into
+  /// the serialized stats.
   Result<std::vector<uint8_t>> HandleQueryBatchBytes(Slice request) const;
 
-  /// Shared body of the bytes paths: executes `batch` (direct or
-  /// sharded) and serializes the response, stamping `queue_wait_us` and
-  /// reporting the serialization-time wire stats.
+  /// Shared body of the bytes paths: executes `batch` and serializes the
+  /// response, stamping `queue_wait_us` and reporting the
+  /// serialization-time wire stats.
   Result<std::vector<uint8_t>> ExecuteBatchToWire(
       const QueryBatch& batch, uint64_t queue_wait_us,
       BatchExecStats* wire_stats) const;
@@ -356,16 +335,10 @@ class EdgeServer {
       const std::string& table, const std::vector<std::string>& keys,
       uint64_t version,
       std::vector<std::shared_ptr<const CachedQuery>>* results) const;
-  std::shared_ptr<const CachedQuery> VOCacheLookup(const std::string& table,
-                                                   const std::string& key,
-                                                   uint64_t version) const;
   void VOCacheInsertBatch(
       const std::string& table, uint64_t version,
       std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
           entries) const;
-  void VOCacheInsert(const std::string& table, const std::string& key,
-                     uint64_t version,
-                     std::shared_ptr<const CachedQuery> entry) const;
   /// Flushes one table's cache (install paths; exclusive latch held).
   void VOCacheFlush(const std::string& table) const;
 
@@ -391,26 +364,18 @@ class EdgeServer {
 /// and projection (the table is the cache's own key). Exposed for tests.
 std::string VOCacheKey(const SelectQuery& q);
 
-/// Serializes a QueryResponse (rows block + VO block) and computes the
-/// per-component sizes.
-void SerializeQueryResponse(const QueryResponse& resp, ByteWriter* w);
-Result<QueryResponse> DeserializeQueryResponse(
-    ByteReader* r, const Schema& schema, const std::vector<size_t>& projection);
-
 /// Batch response wire versions, selected by the leading version byte.
 enum class BatchWire : uint8_t {
-  /// Self-contained VOs (the original layout behind a version byte).
-  /// Cannot carry per-query statuses or the signature pool.
-  kV1 = 1,
-  /// Batch-level signature pool + pool-referencing VOs + per-query
-  /// statuses + extended stats trailer.
+  /// One shard group: batch-level signature pool + pool-referencing VOs
+  /// + per-query statuses + stats trailer. Only ever embedded in a v3
+  /// response.
   kV2 = 2,
-  /// Scatter-gather over a sharded table: the signed map bytes followed
-  /// by one embedded v2 response per planned shard group.
+  /// The response every batch gets: the signed map bytes followed by one
+  /// embedded v2 group per planned shard.
   kSharded = 3,
 };
 
-/// Batch response wire format: version byte, replica version once, (v2) a
+/// Shard-group (v2) wire format: version byte, replica version once, a
 /// batch-level signature pool, positional status/rows/VO blocks, stats
 /// trailer. Deserialization needs the (normalized) queries the batch was
 /// built from, for the per-query projections, and validates that the
@@ -423,13 +388,12 @@ enum class BatchWire : uint8_t {
 /// serving side's accounting hook; the receiving side gets the same
 /// numbers from the trailer).
 void SerializeQueryBatchResponse(const QueryBatchResponse& resp, ByteWriter* w,
-                                 BatchWire wire = BatchWire::kV2,
                                  BatchExecStats* wire_stats = nullptr);
 Result<QueryBatchResponse> DeserializeQueryBatchResponse(
     ByteReader* r, const Schema& schema,
     const std::vector<SelectQuery>& queries);
 
-/// Sharded (v3) batch response framing: version byte, the serialized
+/// Batch response (v3) framing: version byte, the serialized
 /// signed map, then per-group shard id + embedded v2 response.
 /// `wire_stats` receives the group-aggregated serialization-time stats.
 void SerializeShardedQueryBatchResponse(const ShardedQueryBatchResponse& resp,

@@ -35,85 +35,24 @@ void QueryService::ApplyStall() const {
 }
 
 void QueryService::Account(uint64_t queue_wait_us, uint64_t exec_us,
-                           size_t queries, bool is_batch, uint64_t vo_bytes,
-                           uint64_t result_bytes, bool error,
-                           const BatchExecStats* batch_stats,
+                           size_t queries, const BatchExecStats* batch_stats,
                            uint64_t lazy_queries) {
   std::lock_guard lock(stats_mu_);
-  if (is_batch) {
-    stats_.batches++;
-    stats_.batched_queries += queries;
-  } else {
-    stats_.queries += queries;
-  }
+  stats_.batches++;
+  stats_.batched_queries += queries;
   stats_.lazy_queries += lazy_queries;
-  if (error) stats_.errors++;
+  if (batch_stats == nullptr) stats_.errors++;
   stats_.queue_wait_us_total += queue_wait_us;
   stats_.queue_wait_us_max = std::max(stats_.queue_wait_us_max, queue_wait_us);
   stats_.exec_us_total += exec_us;
-  stats_.vo_bytes_total += vo_bytes;
-  stats_.result_bytes_total += result_bytes;
   if (batch_stats != nullptr) {
+    stats_.vo_bytes_total += batch_stats->total_vo_bytes;
+    stats_.result_bytes_total += batch_stats->total_result_bytes;
     stats_.vo_wire_bytes_total += batch_stats->vo_wire_bytes;
     stats_.vo_cache_hits += batch_stats->vo_cache_hits;
     stats_.olc_restarts += batch_stats->olc_restarts;
     stats_.latch_wait_us_total += batch_stats->latch_wait_us;
   }
-}
-
-std::future<Result<QueryResponse>> QueryService::Submit(SelectQuery query) {
-  auto promise = std::make_shared<std::promise<Result<QueryResponse>>>();
-  std::future<Result<QueryResponse>> future = promise->get_future();
-  const Clock::time_point enqueued = Clock::now();
-  Status submitted = pool_.Submit([this, promise, enqueued,
-                                   q = std::move(query)]() mutable {
-    const uint64_t wait_us = MicrosSince(enqueued);
-    ApplyStall();
-    const Clock::time_point exec_start = Clock::now();
-    Result<QueryResponse> resp = edge_->HandleQuery(q);
-    const uint64_t exec_us = MicrosSince(exec_start);
-    Account(wait_us, exec_us, 1, /*is_batch=*/false,
-            resp.ok() ? resp->vo_bytes : 0, resp.ok() ? resp->result_bytes : 0,
-            !resp.ok());
-    promise->set_value(std::move(resp));
-  });
-  if (!submitted.ok()) {
-    std::lock_guard lock(stats_mu_);
-    stats_.rejected++;
-    promise->set_value(Result<QueryResponse>(submitted));
-  }
-  return future;
-}
-
-std::future<Result<QueryBatchResponse>> QueryService::SubmitBatch(
-    QueryBatch batch) {
-  auto promise = std::make_shared<std::promise<Result<QueryBatchResponse>>>();
-  std::future<Result<QueryBatchResponse>> future = promise->get_future();
-  const Clock::time_point enqueued = Clock::now();
-  Status submitted = pool_.Submit([this, promise, enqueued,
-                                   b = std::move(batch)]() mutable {
-    const uint64_t wait_us = MicrosSince(enqueued);
-    ApplyStall();
-    const Clock::time_point exec_start = Clock::now();
-    Result<QueryBatchResponse> resp = edge_->HandleQueryBatch(b);
-    const uint64_t exec_us = MicrosSince(exec_start);
-    uint64_t vo_bytes = 0, result_bytes = 0;
-    if (resp.ok()) {
-      resp->stats.queue_wait_us = wait_us;
-      vo_bytes = resp->stats.total_vo_bytes;
-      result_bytes = resp->stats.total_result_bytes;
-    }
-    Account(wait_us, exec_us, b.queries.size(), /*is_batch=*/true, vo_bytes,
-            result_bytes, !resp.ok(), resp.ok() ? &resp->stats : nullptr,
-            b.trust_mode != TrustMode::kCertified ? b.queries.size() : 0);
-    promise->set_value(std::move(resp));
-  });
-  if (!submitted.ok()) {
-    std::lock_guard lock(stats_mu_);
-    stats_.rejected++;
-    promise->set_value(Result<QueryBatchResponse>(submitted));
-  }
-  return future;
 }
 
 std::future<Result<std::vector<uint8_t>>> QueryService::SubmitBatchBytes(
@@ -128,9 +67,7 @@ std::future<Result<std::vector<uint8_t>>> QueryService::SubmitBatchBytes(
     ApplyStall();
     const Clock::time_point exec_start = Clock::now();
     // Parse here (on the worker) so deserialization cost also comes off
-    // the client's critical path; re-serialize with the measured wait.
-    // ExecuteBatchToWire dispatches direct (v2) vs scatter-gather (v3)
-    // by how the batch's table resolves on this edge.
+    // the client's critical path; serialize with the measured wait.
     auto run = [&]() -> Result<std::vector<uint8_t>> {
       ByteReader r((Slice(req)));
       VBT_ASSIGN_OR_RETURN(QueryBatch batch, DeserializeQueryBatch(&r));
@@ -138,12 +75,9 @@ std::future<Result<std::vector<uint8_t>>> QueryService::SubmitBatchBytes(
       VBT_ASSIGN_OR_RETURN(
           std::vector<uint8_t> out,
           edge_->ExecuteBatchToWire(batch, wait_us, &wire_stats));
-      // wire_stats.exec_us is the edge-measured execution time (inside
-      // the latch, group-summed when sharded) — serialization stays out
-      // of the exec metric, as before the ExecuteBatchToWire refactor.
-      Account(wait_us, wire_stats.exec_us, batch.queries.size(),
-              /*is_batch=*/true, wire_stats.total_vo_bytes,
-              wire_stats.total_result_bytes, /*error=*/false, &wire_stats,
+      // wire_stats.exec_us is the edge-measured execution time, summed
+      // over shard groups — serialization stays out of the exec metric.
+      Account(wait_us, wire_stats.exec_us, batch.queries.size(), &wire_stats,
               batch.trust_mode != TrustMode::kCertified
                   ? batch.queries.size()
                   : 0);
@@ -151,8 +85,8 @@ std::future<Result<std::vector<uint8_t>>> QueryService::SubmitBatchBytes(
     };
     Result<std::vector<uint8_t>> out = run();
     if (!out.ok()) {
-      Account(wait_us, MicrosSince(exec_start), 0, /*is_batch=*/true, 0, 0,
-              /*error=*/true);
+      Account(wait_us, MicrosSince(exec_start), 0, /*batch_stats=*/nullptr,
+              /*lazy_queries=*/0);
     }
     promise->set_value(std::move(out));
   });
@@ -162,14 +96,6 @@ std::future<Result<std::vector<uint8_t>>> QueryService::SubmitBatchBytes(
     promise->set_value(Result<std::vector<uint8_t>>(submitted));
   }
   return future;
-}
-
-Result<QueryResponse> QueryService::Execute(SelectQuery query) {
-  return Submit(std::move(query)).get();
-}
-
-Result<QueryBatchResponse> QueryService::ExecuteBatch(QueryBatch batch) {
-  return SubmitBatch(std::move(batch)).get();
 }
 
 QueryService::Stats QueryService::stats() const {

@@ -55,7 +55,6 @@ struct QueryServiceOptions {
 class QueryService {
  public:
   struct Stats {
-    uint64_t queries = 0;        ///< single queries completed
     uint64_t batches = 0;        ///< batches completed
     uint64_t batched_queries = 0;///< queries inside those batches
     /// Batched queries whose request carried a non-certified TrustMode
@@ -67,10 +66,10 @@ class QueryService {
     uint64_t queue_wait_us_total = 0;
     uint64_t queue_wait_us_max = 0;
     uint64_t exec_us_total = 0;
-    /// Raw (self-contained) VO bytes — what v1 framing would have shipped.
+    /// Raw (self-contained) VO bytes — what the batches would have
+    /// shipped without signature interning.
     uint64_t vo_bytes_total = 0;
-    /// VO bytes actually shipped under wire v2 (signature pool + pooled
-    /// skeletons); only the bytes wire path contributes.
+    /// VO bytes actually shipped (signature pools + pooled skeletons).
     uint64_t vo_wire_bytes_total = 0;
     /// Batched queries answered from the edge's VO cache.
     uint64_t vo_cache_hits = 0;
@@ -91,23 +90,13 @@ class QueryService {
 
   EdgeServer* edge() const { return edge_; }
 
-  /// Enqueues one query; the future resolves when a worker has executed
-  /// it. Under kReject a full queue resolves the future immediately with
+  /// Enqueues a serialized QueryBatch; a worker parses it, executes it
+  /// with shared traversals as one unit, and resolves the future with the
+  /// serialized response, whose stats carry the measured queue wait.
+  /// Under kReject a full queue resolves the future immediately with
   /// kResourceExhausted (the request never reaches a worker).
-  std::future<Result<QueryResponse>> Submit(SelectQuery query);
-
-  /// Enqueues a batch; executed with shared traversals as one unit. The
-  /// response's stats carry the measured queue wait.
-  std::future<Result<QueryBatchResponse>> SubmitBatch(QueryBatch batch);
-
-  /// Wire-path batch submission: request bytes in, response bytes out,
-  /// still scheduled through the worker pool.
   std::future<Result<std::vector<uint8_t>>> SubmitBatchBytes(
       std::vector<uint8_t> request);
-
-  /// Synchronous conveniences (submit + wait).
-  Result<QueryResponse> Execute(SelectQuery query);
-  Result<QueryBatchResponse> ExecuteBatch(QueryBatch batch);
 
   /// Stops accepting submissions, drains accepted work, joins workers.
   void Shutdown();
@@ -120,13 +109,11 @@ class QueryService {
   using Clock = std::chrono::steady_clock;
 
   void ApplyStall() const;
-  /// Records one completed execution into stats_. `batch_stats` (may be
-  /// null for single queries / errors) contributes the VO byte and cache
-  /// telemetry.
+  /// Records one completed batch into stats_. `batch_stats` is null for
+  /// a batch that failed; otherwise it contributes the byte, cache and
+  /// contention telemetry.
   void Account(uint64_t queue_wait_us, uint64_t exec_us, size_t queries,
-               bool is_batch, uint64_t vo_bytes, uint64_t result_bytes,
-               bool error, const BatchExecStats* batch_stats = nullptr,
-               uint64_t lazy_queries = 0);
+               const BatchExecStats* batch_stats, uint64_t lazy_queries);
 
   EdgeServer* edge_;
   QueryServiceOptions options_;

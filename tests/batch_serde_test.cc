@@ -8,8 +8,9 @@
 namespace vbtree {
 namespace {
 
-/// Adversarial wire-format tests for the batch response formats (v1 and
-/// the pooled v2) and the pool-referencing VerificationObject encoding:
+/// Adversarial wire-format tests for the shard-group response format (v2,
+/// the encoding every v3 response embeds per shard) and the
+/// pool-referencing VerificationObject encoding:
 /// truncated, bit-flipped and index-out-of-range buffers must come back
 /// as a Status — never a crash, hang or unchecked huge allocation. The
 /// suite is part of the globbed tier-1 set, so the ASan/UBSan CI job
@@ -41,13 +42,11 @@ class BatchSerdeTest : public ::testing::Test {
       q.NormalizeProjection();
       batch_.queries.push_back(std::move(q));
     }
-    auto resp = edge_->HandleQueryBatch(batch_);
-    ASSERT_TRUE(resp.ok());
-    ByteWriter w1(1 << 12), w2(1 << 12);
-    SerializeQueryBatchResponse(*resp, &w1, BatchWire::kV1);
-    SerializeQueryBatchResponse(*resp, &w2, BatchWire::kV2);
-    honest_v1_ = w1.TakeBuffer();
-    honest_v2_ = w2.TakeBuffer();
+    auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch_);
+    ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+    ByteWriter w(1 << 12);
+    SerializeQueryBatchResponse(*resp, &w);
+    honest_v2_ = w.TakeBuffer();
   }
 
   /// Parses `bytes` as a batch response; the property under test is only
@@ -62,17 +61,18 @@ class BatchSerdeTest : public ::testing::Test {
   std::unique_ptr<CentralServer> central_;
   std::unique_ptr<EdgeServer> edge_;
   QueryBatch batch_;
-  std::vector<uint8_t> honest_v1_;
   std::vector<uint8_t> honest_v2_;
 };
 
 TEST_F(BatchSerdeTest, HonestBuffersParse) {
-  EXPECT_TRUE(Parse(honest_v1_).ok());
   EXPECT_TRUE(Parse(honest_v2_).ok());
 }
 
 TEST_F(BatchSerdeTest, UnknownWireVersionRejected) {
-  for (uint8_t v : {uint8_t{0}, uint8_t{3}, uint8_t{0x7F}, uint8_t{0xFF}}) {
+  // 1 is the retired self-contained layout; 3 is the v3 envelope, never a
+  // valid group.
+  for (uint8_t v : {uint8_t{0}, uint8_t{1}, uint8_t{3}, uint8_t{0x7F},
+                    uint8_t{0xFF}}) {
     std::vector<uint8_t> bytes = honest_v2_;
     bytes[0] = v;
     Status s = Parse(bytes);
@@ -87,37 +87,34 @@ TEST_F(BatchSerdeTest, TruncationsReturnStatus) {
   // decisions live; the long row/VO payload tail is sampled — a reader
   // trusting a count before the bytes exist fails at the region where
   // the count is consumed, not at one magic payload byte.
-  for (const auto* honest : {&honest_v1_, &honest_v2_}) {
-    std::vector<size_t> lengths;
-    for (size_t len = 0; len < std::min<size_t>(honest->size(), 768); ++len) {
-      lengths.push_back(len);
-    }
-    for (size_t len = 768; len < honest->size(); len += 23) {
-      lengths.push_back(len);
-    }
-    for (size_t back = 1; back <= 64 && back < honest->size(); ++back) {
-      lengths.push_back(honest->size() - back);
-    }
-    for (size_t len : lengths) {
-      std::vector<uint8_t> bytes(honest->begin(), honest->begin() + len);
-      Status s = Parse(bytes);
-      EXPECT_FALSE(s.ok()) << "truncation to " << len << " parsed";
-    }
+  const std::vector<uint8_t>& honest = honest_v2_;
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len < std::min<size_t>(honest.size(), 768); ++len) {
+    lengths.push_back(len);
+  }
+  for (size_t len = 768; len < honest.size(); len += 23) {
+    lengths.push_back(len);
+  }
+  for (size_t back = 1; back <= 64 && back < honest.size(); ++back) {
+    lengths.push_back(honest.size() - back);
+  }
+  for (size_t len : lengths) {
+    std::vector<uint8_t> bytes(honest.begin(), honest.begin() + len);
+    Status s = Parse(bytes);
+    EXPECT_FALSE(s.ok()) << "truncation to " << len << " parsed";
   }
 }
 
 TEST_F(BatchSerdeTest, RandomBitFlipsNeverCrash) {
   Rng rng(99);
-  for (const auto* honest : {&honest_v1_, &honest_v2_}) {
-    for (int trial = 0; trial < 500; ++trial) {
-      std::vector<uint8_t> bytes = *honest;
-      size_t k = 1 + rng.Uniform(4);
-      for (size_t i = 0; i < k; ++i) {
-        bytes[rng.Uniform(bytes.size())] ^=
-            static_cast<uint8_t>(1 + rng.Uniform(255));
-      }
-      (void)Parse(bytes);  // any Status is fine; crashing is the bug
+  for (int trial = 0; trial < 1000; ++trial) {
+    std::vector<uint8_t> bytes = honest_v2_;
+    size_t k = 1 + rng.Uniform(4);
+    for (size_t i = 0; i < k; ++i) {
+      bytes[rng.Uniform(bytes.size())] ^=
+          static_cast<uint8_t>(1 + rng.Uniform(255));
     }
+    (void)Parse(bytes);  // any Status is fine; crashing is the bug
   }
   SUCCEED();
 }
@@ -126,8 +123,8 @@ TEST_F(BatchSerdeTest, PoolIndexOutOfRangeIsCorruption) {
   // Build a pooled VO against a pool that is too short for its indices:
   // a hostile edge referencing entries past the signature table must get
   // kCorruption, not an out-of-bounds read.
-  auto resp = edge_->HandleQueryBatch(batch_);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch_);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   const VerificationObject& vo = resp->responses[0].vo;
 
   SignaturePool pool;
@@ -158,8 +155,8 @@ TEST_F(BatchSerdeTest, OversizedPoolIndexInMessageIsCorruption) {
   // Patch the first VO signature reference inside an honest v2 message to
   // a huge varint. Locating it robustly: re-serialize with a tracking
   // pool to find the byte offset of the first pooled reference.
-  auto resp = edge_->HandleQueryBatch(batch_);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch_);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
   // Layout: u8 version | u64 replica_version | varint count | pool | body.
   // Find where the pool ends by parsing it like the deserializer does.
@@ -198,8 +195,8 @@ TEST_F(BatchSerdeTest, OversizedPoolIndexInMessageIsCorruption) {
 }
 
 TEST_F(BatchSerdeTest, PooledVORoundTripsBitExact) {
-  auto resp = edge_->HandleQueryBatch(batch_);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch_);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   for (const QueryResponse& qr : resp->responses) {
     SignaturePool pool;
     ByteWriter body;
@@ -222,8 +219,8 @@ TEST_F(BatchSerdeTest, PooledVORoundTripsBitExact) {
 }
 
 TEST_F(BatchSerdeTest, TruncatedAndFlippedPooledVONeverCrashes) {
-  auto resp = edge_->HandleQueryBatch(batch_);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch_);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   SignaturePool pool;
   ByteWriter body;
   resp->responses[0].vo.SerializePooled(&body, &pool);

@@ -207,6 +207,39 @@ TEST_F(EdgeComputingTest, RsaBackedEndToEnd) {
   EXPECT_TRUE(bad->verification.IsVerificationFailure());
 }
 
+TEST_F(EdgeComputingTest, ReplicaWithoutMapAnswersNothing) {
+  // The replica of a plain table arrives without its signed map: there is
+  // no unmapped read path, so the edge cannot answer until the map does.
+  EdgeServer bare("edge-bare");
+  auto snap = central_->ExportTableSnapshot("items");
+  ASSERT_TRUE(snap.ok());
+  ASSERT_TRUE(bare.InstallSnapshot(Slice(*snap)).ok());
+  ASSERT_TRUE(bare.HasTable("items"));
+
+  QueryBatch batch;
+  batch.table = "items";
+  batch.queries.push_back(RangeQuery(10, 20));
+  auto direct = bare.HandleQueryBatch(batch);
+  ASSERT_FALSE(direct.ok());
+  EXPECT_TRUE(direct.status().IsNotFound()) << direct.status().ToString();
+  auto result = client_->Query(&bare, RangeQuery(10, 20), 10, &net_);
+  ASSERT_FALSE(result.ok());
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+
+  // Once the map is installed the same replica answers, verified under it.
+  auto map = central_->TablePartitionMap("items");
+  ASSERT_TRUE(map.ok());
+  ByteWriter w;
+  map->Serialize(&w);
+  ASSERT_TRUE(bare.InstallPartitionMap(Slice(w.buffer())).ok());
+  auto answered = client_->Query(&bare, RangeQuery(10, 20), 10, &net_);
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_TRUE(answered->verification.ok())
+      << answered->verification.ToString();
+  EXPECT_EQ(answered->rows.size(), 11u);
+  EXPECT_EQ(answered->map_epoch, 1u);
+}
+
 TEST_F(EdgeComputingTest, SnapshotBytesScaleWithTable) {
   auto snap = central_->ExportTableSnapshot("items");
   ASSERT_TRUE(snap.ok());

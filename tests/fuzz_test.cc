@@ -3,6 +3,8 @@
 #include "edge/central_server.h"
 #include "edge/client.h"
 #include "edge/edge_server.h"
+#include "edge/partition_map.h"
+#include "edge/query_service/batch_verifier.h"
 #include "query/query_serde.h"
 #include "tests/testutil.h"
 
@@ -104,47 +106,263 @@ TEST_P(WireFuzz, MutatedTreeSnapshotsNeverCrash) {
   SUCCEED();  // reaching here without UB/crash is the property
 }
 
-TEST_P(WireFuzz, MutatedQueriesNeverCrashEdge) {
-  static std::unique_ptr<CentralServer> central = [] {
+/// A 4-shard table on one edge, shared by the read-wire fuzzers below.
+struct ShardedFixture {
+  std::unique_ptr<CentralServer> central;
+  std::unique_ptr<EdgeServer> edge;
+  Schema schema = testutil::MakeWideSchema(4);
+};
+
+ShardedFixture* Sharded() {
+  static std::unique_ptr<ShardedFixture> fx = [] {
+    auto f = std::make_unique<ShardedFixture>();
     CentralServer::Options opts;
     opts.tree_opts.config.max_internal = 8;
     opts.tree_opts.config.max_leaf = 8;
     auto c = CentralServer::Create(opts);
-    if (!c.ok()) return std::unique_ptr<CentralServer>();
-    Schema schema = testutil::MakeWideSchema(4);
-    if (!(*c)->CreateTable("t", schema).ok()) {
-      return std::unique_ptr<CentralServer>();
-    }
+    if (!c.ok()) return std::unique_ptr<ShardedFixture>();
+    f->central = c.MoveValueUnsafe();
     Rng rng(1);
-    if (!(*c)->LoadTable("t", testutil::MakeRows(schema, 100, &rng)).ok()) {
-      return std::unique_ptr<CentralServer>();
+    if (!f->central->CreateTable("t", f->schema, EvenSplitPoints(400, 4))
+             .ok() ||
+        !f->central->LoadTable("t", testutil::MakeRows(f->schema, 400, &rng))
+             .ok()) {
+      return std::unique_ptr<ShardedFixture>();
     }
-    return c.MoveValueUnsafe();
+    f->edge = std::make_unique<EdgeServer>("fuzz-edge");
+    for (const std::string& shard : f->central->ShardNames()) {
+      if (!testutil::Publish(f->central.get(), shard, f->edge.get()).ok()) {
+        return std::unique_ptr<ShardedFixture>();
+      }
+    }
+    return f;
   }();
-  ASSERT_NE(central, nullptr);
-  static EdgeServer edge("fuzz-edge");
-  static bool published = [&] {
-    return testutil::Publish(central.get(), "t", &edge, nullptr).ok();
-  }();
-  ASSERT_TRUE(published);
+  return fx.get();
+}
 
-  SelectQuery q;
-  q.table = "t";
-  q.range = KeyRange{10, 50};
+/// Normalized queries spanning one, two and all four shards.
+std::vector<SelectQuery> SpanningQueries() {
+  std::vector<SelectQuery> queries;
+  for (KeyRange range :
+       {KeyRange{10, 60}, KeyRange{180, 230}, KeyRange{50, 390}}) {
+    SelectQuery q;
+    q.table = "t";
+    q.range = range;
+    queries.push_back(q);
+  }
+  queries[1].projection = {0, 2};
+  for (SelectQuery& q : queries) q.NormalizeProjection();
+  return queries;
+}
+
+TEST_P(WireFuzz, MutatedQueryBatchesNeverCrashEdge) {
+  ShardedFixture* fx = Sharded();
+  ASSERT_NE(fx, nullptr);
+  QueryBatch batch;
+  batch.table = "t";
+  batch.queries = SpanningQueries();
+  batch.trust_mode = TrustMode::kLazy;
   ByteWriter w;
-  SerializeSelectQuery(q, &w);
-  std::vector<uint8_t> honest = w.TakeBuffer();
+  SerializeQueryBatch(batch, &w);
+  const std::vector<uint8_t> honest = w.TakeBuffer();
+  ASSERT_TRUE(fx->edge->HandleQueryBatchBytes(Slice(honest)).ok());
+
+  // The trailing trust-mode byte: every value past kSampled is rejected.
+  for (int m = static_cast<int>(TrustMode::kSampled) + 1; m < 256; ++m) {
+    std::vector<uint8_t> bytes = honest;
+    bytes.back() = static_cast<uint8_t>(m);
+    auto out = fx->edge->HandleQueryBatchBytes(Slice(bytes));
+    ASSERT_FALSE(out.ok()) << "trust mode byte " << m;
+    EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+  }
 
   Rng rng(6000 + GetParam());
   for (int trial = 0; trial < 200; ++trial) {
     std::vector<uint8_t> bytes = honest;
-    bytes[rng.Uniform(bytes.size())] ^=
-        static_cast<uint8_t>(1 + rng.Uniform(255));
+    size_t k = 1 + rng.Uniform(3);
+    for (size_t i = 0; i < k; ++i) {
+      // One in four flips lands on the trust-mode byte.
+      const size_t pos =
+          rng.OneIn(4) ? bytes.size() - 1 : rng.Uniform(bytes.size());
+      bytes[pos] ^= static_cast<uint8_t>(1 + rng.Uniform(255));
+    }
     if (rng.OneIn(4)) bytes.resize(rng.Uniform(bytes.size()) + 1);
     // The edge must answer or reject gracefully, never crash.
-    (void)edge.HandleQueryBytes(Slice(bytes));
+    (void)fx->edge->HandleQueryBatchBytes(Slice(bytes));
   }
   SUCCEED();
+}
+
+/// Authenticates a v3 response the way the client does — decode, map
+/// signature, then every shard group's VOs under that shard's digest
+/// schema — and returns each query's stitched rows, or the first failure.
+Result<std::vector<std::vector<ResultRow>>> Authenticate(
+    ShardedFixture* fx, const std::vector<uint8_t>& bytes,
+    const std::vector<SelectQuery>& queries) {
+  ByteReader r{Slice(bytes)};
+  VBT_ASSIGN_OR_RETURN(
+      ShardedBatchDecoded decoded,
+      DeserializeShardedQueryBatchResponse(&r, fx->schema, queries));
+  {
+    // The embedded map must also survive a standalone decode.
+    ByteReader mr{Slice(decoded.map_bytes)};
+    VBT_RETURN_NOT_OK(PartitionMap::Deserialize(&mr).status());
+  }
+  KeyDirectory* keys = fx->central->key_directory();
+  VBT_ASSIGN_OR_RETURN(std::shared_ptr<Recoverer> map_rec,
+                       keys->RecovererFor(decoded.map.key_version, 10));
+  VBT_RETURN_NOT_OK(decoded.map.Verify(map_rec.get(), HashAlgorithm::kSha256));
+  if (decoded.map.table != "t" ||
+      decoded.map.db_name != fx->central->db_name()) {
+    return Status::VerificationFailure("map bound to another table");
+  }
+  std::vector<std::vector<ResultRow>> rows(queries.size());
+  BatchVerifier verifier(BatchVerifier::Options{0});
+  for (size_t g = 0; g < decoded.groups.size(); ++g) {
+    const ShardScatter& planned = decoded.plan[g];
+    QueryBatchResponse& resp = decoded.groups[g].resp;
+    DigestSchema ds(fx->central->db_name(),
+                    decoded.map.shard_name(planned.shard_index), fx->schema);
+    for (size_t s = 0; s < planned.slices.size(); ++s) {
+      const QueryResponse& qr = resp.responses[s];
+      VBT_RETURN_NOT_OK(qr.status);
+      VBT_ASSIGN_OR_RETURN(std::shared_ptr<Recoverer> rec,
+                           keys->RecovererFor(qr.vo.key_version, 10));
+      BatchVerifier::Job job{&planned.slices[s].query, &qr.rows, &qr.vo};
+      auto outcome = verifier.VerifyAll(ds, rec.get(), {&job, 1});
+      VBT_RETURN_NOT_OK(outcome[0].verification);
+      auto& dst = rows[planned.slices[s].query_index];
+      dst.insert(dst.end(), qr.rows.begin(), qr.rows.end());
+    }
+  }
+  return rows;
+}
+
+bool SameRows(const std::vector<ResultRow>& a, const std::vector<ResultRow>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].key != b[i].key || a[i].values.size() != b[i].values.size()) {
+      return false;
+    }
+    for (size_t v = 0; v < a[i].values.size(); ++v) {
+      if (a[i].values[v].Compare(b[i].values[v]) != 0) return false;
+    }
+  }
+  return true;
+}
+
+TEST_P(WireFuzz, MutatedShardedResponsesNeverVerify) {
+  ShardedFixture* fx = Sharded();
+  ASSERT_NE(fx, nullptr);
+  const std::vector<SelectQuery> queries = SpanningQueries();
+  QueryBatch batch;
+  batch.table = "t";
+  batch.queries = queries;
+  ByteWriter req;
+  SerializeQueryBatch(batch, &req);
+  auto served = fx->edge->HandleQueryBatchBytes(Slice(req.buffer()));
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  const std::vector<uint8_t> honest = std::move(*served);
+  auto truth = Authenticate(fx, honest, queries);
+  ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+
+  // Field offsets of the honest response: the map region, the group
+  // count, each group's shard id, and each group's body after its pool
+  // (the pooled VO references live there).
+  size_t map_begin = 0, map_end = 0, count_pos = 0;
+  std::vector<size_t> shard_id_pos;
+  std::vector<std::pair<size_t, size_t>> bodies;
+  {
+    ByteReader dr{Slice(honest)};
+    auto decoded = DeserializeShardedQueryBatchResponse(&dr, fx->schema, queries);
+    ASSERT_TRUE(decoded.ok());
+    ASSERT_EQ(decoded->groups.size(), 4u);
+
+    ByteReader r{Slice(honest)};
+    ASSERT_TRUE(r.ReadU8().ok());
+    auto map = r.ReadLengthPrefixed();
+    ASSERT_TRUE(map.ok());
+    map_end = r.position();
+    map_begin = map_end - map->size();
+    count_pos = r.position();
+    ASSERT_TRUE(r.ReadVarint().ok());
+    for (const ShardScatter& planned : decoded->plan) {
+      shard_id_pos.push_back(r.position());
+      ASSERT_TRUE(r.ReadU32().ok());
+      ByteReader header = r;  // version, replica version, count, pool
+      ASSERT_TRUE(header.ReadU8().ok());
+      ASSERT_TRUE(header.ReadU64().ok());
+      ASSERT_TRUE(header.ReadVarint().ok());
+      ASSERT_TRUE(SignaturePool::Deserialize(&header).ok());
+      std::vector<SelectQuery> slice_queries;
+      for (const ShardSlice& slice : planned.slices) {
+        slice_queries.push_back(slice.query);
+      }
+      ASSERT_TRUE(
+          DeserializeQueryBatchResponse(&r, fx->schema, slice_queries).ok());
+      bodies.emplace_back(header.position(), r.position());
+    }
+    ASSERT_TRUE(r.AtEnd());
+  }
+
+  Rng rng(8000 + GetParam());
+  auto flip = [&](std::vector<uint8_t>* bytes, size_t lo, size_t hi) {
+    (*bytes)[lo + rng.Uniform(hi - lo)] ^=
+        static_cast<uint8_t>(1 + rng.Uniform(255));
+  };
+  int rejected = 0, harmless = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<uint8_t> bytes = honest;
+    switch (trial % 6) {
+      case 0:  // the embedded map: layout, epoch, key version, signature
+        flip(&bytes, map_begin, map_end);
+        break;
+      case 1:  // the group count
+        bytes[count_pos] = static_cast<uint8_t>(rng.Uniform(8));
+        break;
+      case 2: {  // a shard id: another group's, or garbage
+        const size_t a = rng.Uniform(shard_id_pos.size());
+        const size_t b = rng.Uniform(shard_id_pos.size());
+        if (a != b && rng.OneIn(2)) {
+          std::swap_ranges(bytes.begin() + shard_id_pos[a],
+                           bytes.begin() + shard_id_pos[a] + 4,
+                           bytes.begin() + shard_id_pos[b]);
+        } else {
+          flip(&bytes, shard_id_pos[a], shard_id_pos[a] + 4);
+        }
+        break;
+      }
+      case 3: {  // a group body: statuses, rows, pooled VO references
+        const auto& [lo, hi] = bodies[rng.Uniform(bodies.size())];
+        flip(&bytes, lo, hi);
+        break;
+      }
+      case 4:  // anywhere
+        for (size_t k = 1 + rng.Uniform(3); k > 0; --k) {
+          flip(&bytes, 0, bytes.size());
+        }
+        break;
+      case 5:  // truncation
+        bytes.resize(rng.Uniform(bytes.size()));
+        break;
+    }
+    if (bytes == honest) continue;
+    auto out = Authenticate(fx, bytes, queries);
+    if (!out.ok()) {
+      rejected++;
+      continue;
+    }
+    // Bytes outside the authenticated content (stats trailers, replica
+    // versions) may change without failing verification, but then the
+    // answer must be the honest one.
+    harmless++;
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ASSERT_TRUE(SameRows((*out)[i], (*truth)[i]))
+          << "trial " << trial << ": a mutated response authenticated a "
+          << "wrong answer for query " << i;
+    }
+  }
+  EXPECT_GT(rejected, harmless);
 }
 
 TEST_P(WireFuzz, MutatedDeltasNeverCorruptSilently) {

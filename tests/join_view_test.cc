@@ -63,10 +63,21 @@ TEST_F(JoinViewTest, MaterializesAllMatches) {
 }
 
 TEST_F(JoinViewTest, ViewIsQueryableAndVerifiable) {
+  // A view is read like any unsplit table: a signed map of one shard (id
+  // 0, the plain view name), shipped ahead of the view's snapshot.
+  auto map = central_->TablePartitionMap("orders_customers");
+  ASSERT_TRUE(map.ok()) << map.status().ToString();
+  ASSERT_EQ(map->shards.size(), 1u);
+  EXPECT_EQ(map->shard_name(0), "orders_customers");
+  auto rec = central_->key_directory()->RecovererFor(map->key_version, 10);
+  ASSERT_TRUE(rec.ok());
+  EXPECT_TRUE(map->Verify(rec->get(), HashAlgorithm::kSha256).ok());
+
   // Distribute the view to an edge server and run an authenticated query.
   EdgeServer edge("edge-1");
   SimulatedNetwork net;
   ASSERT_TRUE(testutil::Publish(central_.get(), "orders_customers", &edge, &net).ok());
+  EXPECT_EQ(edge.MapEpoch("orders_customers"), map->epoch);
 
   Client client(central_->db_name(), central_->key_directory());
   auto info = central_->DescribeTable("orders_customers");
@@ -80,6 +91,44 @@ TEST_F(JoinViewTest, ViewIsQueryableAndVerifiable) {
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->rows.size(), 31u);
   EXPECT_TRUE(result->verification.ok()) << result->verification.ToString();
+  EXPECT_GE(result->map_epoch, 1u);
+  EXPECT_EQ(result->shards_touched, 1u);
+}
+
+TEST_F(JoinViewTest, ReplayedStaleViewMapIsRejected) {
+  // edge-old keeps the view (and its epoch-1 map) from before a key
+  // rotation; edge-new is republished under the re-signed epoch-2 map.
+  EdgeServer old_edge("edge-old");
+  EdgeServer new_edge("edge-new");
+  ASSERT_TRUE(
+      testutil::Publish(central_.get(), "orders_customers", &old_edge).ok());
+  ASSERT_TRUE(central_->RotateKey(/*now=*/100).ok());
+  ASSERT_TRUE(
+      testutil::Publish(central_.get(), "orders_customers", &new_edge).ok());
+  ASSERT_EQ(old_edge.MapEpoch("orders_customers"), 1u);
+  ASSERT_EQ(new_edge.MapEpoch("orders_customers"), 2u);
+
+  Client client(central_->db_name(), central_->key_directory());
+  auto info = central_->DescribeTable("orders_customers");
+  ASSERT_TRUE(info.ok());
+  client.RegisterTable("orders_customers", (*info)->schema);
+  SelectQuery q;
+  q.table = "orders_customers";
+  q.range = KeyRange{0, 99};
+  auto fresh = client.Query(&new_edge, q, /*now=*/150, nullptr);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  ASSERT_TRUE(fresh->verification.ok()) << fresh->verification.ToString();
+  EXPECT_EQ(fresh->map_epoch, 2u);
+
+  // The old map is authentically signed, but its epoch is below the
+  // floor this client already authenticated.
+  auto stale = client.Query(&old_edge, q, /*now=*/150, nullptr);
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_TRUE(stale->verification.IsVerificationFailure())
+      << stale->verification.ToString();
+  EXPECT_NE(stale->verification.ToString().find("stale partition map"),
+            std::string::npos)
+      << stale->verification.ToString();
 }
 
 TEST_F(JoinViewTest, ViewProjectionVerifies) {

@@ -366,17 +366,18 @@ TEST_F(LazyTrustTest, WrongShardSubstitutionAlarms) {
   LazyAuditor auditor(central->db_name(), central->key_directory(),
                       LazyAuditor::Options{});
 
-  // Execute honestly against shard 1, then present the response as if it
+  // Execute honestly against shard 1 (the range lies inside it, so the
+  // scatter yields that one group), then present the response as if it
   // answered shard 2's slice.
   QueryBatch batch;
-  batch.table = PartitionMap::ShardName("t", 1);
+  batch.table = "t";
   SelectQuery q;
   q.table = batch.table;
   q.range = KeyRange{120, 180};
   q.NormalizeProjection();
   batch.queries.push_back(q);
-  auto resp = edge.HandleQueryBatch(batch);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(&edge, batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   ASSERT_TRUE(resp->responses[0].status.ok());
 
   AuditTicket ticket;
@@ -397,8 +398,8 @@ TEST_F(LazyTrustTest, WrongShardSubstitutionAlarms) {
   EXPECT_EQ(auditor.audited_watermark(PartitionMap::ShardName("t", 2)), 0u);
 
   // Control: the same ticket under its true shard passes.
-  auto resp2 = edge.HandleQueryBatch(batch);
-  ASSERT_TRUE(resp2.ok());
+  auto resp2 = testutil::ExecuteSoleGroup(&edge, batch);
+  ASSERT_TRUE(resp2.ok()) << resp2.status().ToString();
   ASSERT_TRUE(resp2->responses[0].status.ok());
   ASSERT_GT(resp2->replica_version, 0u);
   AuditTicket honest;

@@ -52,7 +52,7 @@ class PartitionMapTest : public ::testing::Test {
 
     client_ = std::make_unique<Client>(central_->db_name(),
                                        central_->key_directory());
-    client_->RegisterShardedTable("orders", schema_);
+    client_->RegisterTable("orders", schema_);
   }
 
   void TearDown() override {
@@ -229,12 +229,6 @@ TEST_F(PartitionMapTest, EdgeRoutesSingleShardQueries) {
   EXPECT_TRUE(result->verification.ok()) << result->verification.ToString();
   EXPECT_EQ(result->rows.size(), 41u);
   EXPECT_EQ(result->shards_touched, 1u);
-
-  // Direct edge access: a spanning base-table query cannot be answered
-  // with a single VO — the edge demands a scatter.
-  auto direct = edge1_->HandleQuery(RangeQuery(100, 900));
-  EXPECT_FALSE(direct.ok());
-  EXPECT_TRUE(direct.status().IsInvalidArgument());
 }
 
 TEST_F(PartitionMapTest, BatchScatterGatherVerifies) {

@@ -123,6 +123,16 @@ class QueryServiceTest : public ::testing::Test {
     return batch;
   }
 
+  /// `q` alone, serialized as the wire request the service queues.
+  std::vector<uint8_t> OneQueryRequest(const SelectQuery& q) {
+    QueryBatch batch;
+    batch.table = "items";
+    batch.queries.push_back(q);
+    ByteWriter w(256);
+    SerializeQueryBatch(batch, &w);
+    return w.TakeBuffer();
+  }
+
   QueryBatch MixedBatch() {
     QueryBatch batch;
     batch.table = "items";
@@ -147,15 +157,19 @@ class QueryServiceTest : public ::testing::Test {
 
 TEST_F(QueryServiceTest, BatchAnswersMatchSerialExecutionRowForRow) {
   QueryBatch batch = MixedBatch();
-  auto batched = edge_->HandleQueryBatch(batch);
+  auto batched = testutil::ExecuteSoleGroup(edge_.get(), batch);
   ASSERT_TRUE(batched.ok()) << batched.status().ToString();
   ASSERT_EQ(batched->responses.size(), batch.queries.size());
   EXPECT_GT(batched->stats.shared_fetch_hits, 0u)
       << "overlapping envelopes should share tuple fetches";
 
   for (size_t i = 0; i < batch.queries.size(); ++i) {
-    auto serial = edge_->HandleQuery(batch.queries[i]);
-    ASSERT_TRUE(serial.ok());
+    QueryBatch one;
+    one.table = batch.table;
+    one.queries.push_back(batch.queries[i]);
+    auto group = testutil::ExecuteSoleGroup(edge_.get(), one);
+    ASSERT_TRUE(group.ok()) << group.status().ToString();
+    const QueryResponse* serial = &group->responses[0];
     const QueryResponse& b = batched->responses[i];
     ASSERT_EQ(b.rows.size(), serial->rows.size()) << "query " << i;
     for (size_t r = 0; r < b.rows.size(); ++r) {
@@ -191,12 +205,22 @@ TEST_F(QueryServiceTest, BatchedAnswersVerifyThroughService) {
 }
 
 TEST_F(QueryServiceTest, SingleQuerySubmissionVerifies) {
+  // A single query is a batch of one: queued, scattered over the table's
+  // one-shard map, and answered as a v3 response like any batch.
   QueryService service(edge_.get(), QueryServiceOptions{2, 64});
-  auto resp = service.Execute(RangeQuery(10, 40));
-  ASSERT_TRUE(resp.ok());
-  EXPECT_EQ(resp->rows.size(), 31u);
+  const SelectQuery q = RangeQuery(10, 40);
+  auto bytes = service.SubmitBatchBytes(OneQueryRequest(q)).get();
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  ByteReader r((Slice(*bytes)));
+  auto decoded = DeserializeShardedQueryBatchResponse(&r, schema_, {q});
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->map.epoch, 1u);
+  ASSERT_EQ(decoded->groups.size(), 1u);
+  EXPECT_EQ(decoded->groups[0].shard_id, 0u);
+  EXPECT_EQ(decoded->groups[0].resp.responses[0].rows.size(), 31u);
   QueryService::Stats stats = service.stats();
-  EXPECT_EQ(stats.queries, 1u);
+  EXPECT_EQ(stats.batches, 1u);
+  EXPECT_EQ(stats.batched_queries, 1u);
   EXPECT_GT(stats.vo_bytes_total, 0u);
 }
 
@@ -266,17 +290,18 @@ TEST_F(QueryServiceTest, RejectBackpressureSurfacesToSubmitters) {
   opts.modeled_io_stall_us = 100000;  // pin the worker for 100ms
   QueryService service(edge_.get(), opts);
 
-  std::vector<std::future<Result<QueryResponse>>> futures;
-  futures.push_back(service.Submit(RangeQuery(0, 10)));
-  // Wait until the worker has dequeued the first query (it then stalls
+  std::vector<std::future<Result<std::vector<uint8_t>>>> futures;
+  futures.push_back(service.SubmitBatchBytes(OneQueryRequest(RangeQuery(0, 10))));
+  // Wait until the worker has dequeued the first batch (it then stalls
   // for 100ms), so the remaining submissions race only the queue slot.
   while (service.queue_depth() > 0) std::this_thread::yield();
   for (int i = 0; i < 5; ++i) {
-    futures.push_back(service.Submit(RangeQuery(0, 10)));
+    futures.push_back(
+        service.SubmitBatchBytes(OneQueryRequest(RangeQuery(0, 10))));
   }
   size_t ok = 0, rejected = 0;
   for (auto& f : futures) {
-    Result<QueryResponse> r = f.get();
+    Result<std::vector<uint8_t>> r = f.get();
     if (r.ok()) {
       ok++;
     } else {
@@ -297,15 +322,17 @@ TEST_F(QueryServiceTest, BlockBackpressureAcceptsEverything) {
   opts.queue_capacity = 2;
   opts.overflow = OverflowPolicy::kBlock;
   QueryService service(edge_.get(), opts);
-  std::vector<std::future<Result<QueryResponse>>> futures;
+  std::vector<std::future<Result<std::vector<uint8_t>>>> futures;
   for (int i = 0; i < 32; ++i) {
-    futures.push_back(service.Submit(RangeQuery(i * 10, i * 10 + 20)));
+    futures.push_back(
+        service.SubmitBatchBytes(OneQueryRequest(RangeQuery(i * 10, i * 10 + 20))));
   }
   for (auto& f : futures) {
-    Result<QueryResponse> r = f.get();
+    Result<std::vector<uint8_t>> r = f.get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
   }
-  EXPECT_EQ(service.stats().queries, 32u);
+  EXPECT_EQ(service.stats().batches, 32u);
+  EXPECT_EQ(service.stats().batched_queries, 32u);
   EXPECT_EQ(service.stats().rejected, 0u);
 }
 
@@ -387,8 +414,8 @@ TEST_F(QueryServiceTest, BatchVerifierMatchesSerialVerifierOutcomes) {
   QueryBatch batch = MixedBatch();
   // Normalize as the client would: jobs reference normalized queries.
   for (SelectQuery& q : batch.queries) q.NormalizeProjection();
-  auto resp = edge_->HandleQueryBatch(batch);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
   DigestSchema ds(central_->db_name(), "items", schema_,
                   HashAlgorithm::kSha256, 128);
@@ -427,10 +454,17 @@ TEST_F(QueryServiceTest, BatchWirePathRoundTrips) {
   ASSERT_TRUE(resp_bytes.ok()) << resp_bytes.status().ToString();
 
   ByteReader r((Slice(*resp_bytes)));
-  auto wire = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
-  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
-  auto direct = edge_->HandleQueryBatch(batch);
-  ASSERT_TRUE(direct.ok());
+  auto decoded =
+      DeserializeShardedQueryBatchResponse(&r, schema_, batch.queries);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_TRUE(r.AtEnd());
+  // An unsplit table answers under its signed one-shard map.
+  EXPECT_EQ(decoded->map.table, "items");
+  ASSERT_EQ(decoded->map.shards.size(), 1u);
+  ASSERT_EQ(decoded->groups.size(), 1u);
+  const QueryBatchResponse* wire = &decoded->groups[0].resp;
+  auto direct = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
 
   ASSERT_EQ(wire->responses.size(), direct->responses.size());
   EXPECT_EQ(wire->replica_version, direct->replica_version);
@@ -460,11 +494,11 @@ TEST_F(QueryServiceTest, BatchWirePathRoundTrips) {
 TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
   QueryBatch batch = HotRangeBatch();
   for (SelectQuery& q : batch.queries) q.NormalizeProjection();
-  auto resp = edge_->HandleQueryBatch(batch);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
   ByteWriter w(1 << 12);
-  SerializeQueryBatchResponse(*resp, &w, BatchWire::kV2);
+  SerializeQueryBatchResponse(*resp, &w);
   ByteReader r((Slice(w.buffer())));
   auto wire = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
@@ -491,42 +525,6 @@ TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
   }
 }
 
-TEST_F(QueryServiceTest, LegacyWireV1RoundTripsAndMatchesV2Answers) {
-  QueryBatch batch = HotRangeBatch();
-  for (SelectQuery& q : batch.queries) q.NormalizeProjection();
-  auto direct = edge_->HandleQueryBatch(batch);
-  ASSERT_TRUE(direct.ok());
-
-  ByteWriter v1(1 << 12), v2(1 << 12);
-  SerializeQueryBatchResponse(*direct, &v1, BatchWire::kV1);
-  SerializeQueryBatchResponse(*direct, &v2, BatchWire::kV2);
-
-  ByteReader r1((Slice(v1.buffer())));
-  auto from_v1 = DeserializeQueryBatchResponse(&r1, schema_, batch.queries);
-  ASSERT_TRUE(from_v1.ok()) << from_v1.status().ToString();
-  ByteReader r2((Slice(v2.buffer())));
-  auto from_v2 = DeserializeQueryBatchResponse(&r2, schema_, batch.queries);
-  ASSERT_TRUE(from_v2.ok()) << from_v2.status().ToString();
-
-  // Same answers and same VOs through either framing; only the bytes on
-  // the wire differ (the overlapping batch interns shared signatures).
-  ASSERT_EQ(from_v1->responses.size(), from_v2->responses.size());
-  for (size_t i = 0; i < from_v1->responses.size(); ++i) {
-    const QueryResponse& a = from_v1->responses[i];
-    const QueryResponse& b = from_v2->responses[i];
-    ASSERT_EQ(a.rows.size(), b.rows.size());
-    for (size_t r = 0; r < a.rows.size(); ++r) {
-      EXPECT_EQ(a.rows[r].key, b.rows[r].key);
-    }
-    EXPECT_EQ(a.vo.DigestCount(), b.vo.DigestCount());
-    ByteWriter wa, wb;
-    a.vo.Serialize(&wa);
-    b.vo.Serialize(&wb);
-    EXPECT_EQ(wa.buffer(), wb.buffer()) << "VO " << i << " diverged";
-  }
-  EXPECT_LT(v2.size(), v1.size()) << "pooled framing must shrink the batch";
-}
-
 TEST_F(QueryServiceTest, ResponseCountMismatchIsCorruptionNotOutOfBounds) {
   // An adversarial edge answering with a different response count than
   // the query count must be rejected at deserialization — positional
@@ -534,38 +532,36 @@ TEST_F(QueryServiceTest, ResponseCountMismatchIsCorruptionNotOutOfBounds) {
   // silently truncate (too few).
   QueryBatch batch = MixedBatch();
   for (SelectQuery& q : batch.queries) q.NormalizeProjection();
-  auto resp = edge_->HandleQueryBatch(batch);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
-  for (BatchWire wire : {BatchWire::kV1, BatchWire::kV2}) {
-    // Too few: drop the last response before serializing.
-    QueryBatchResponse fewer;
-    fewer.replica_version = resp->replica_version;
-    fewer.stats = resp->stats;
-    for (size_t i = 0; i + 1 < resp->responses.size(); ++i) {
-      QueryResponse qr;
-      qr.status = resp->responses[i].status;
-      qr.rows = resp->responses[i].rows;
-      qr.vo = resp->responses[i].vo.Clone();
-      fewer.responses.push_back(std::move(qr));
-    }
-    ByteWriter w;
-    SerializeQueryBatchResponse(fewer, &w, wire);
-    ByteReader r((Slice(w.buffer())));
-    auto out = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
-    ASSERT_FALSE(out.ok());
-    EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
-
-    // Too many: deserialize against a shorter query list.
-    std::vector<SelectQuery> shorter(batch.queries.begin(),
-                                     batch.queries.end() - 1);
-    ByteWriter w2;
-    SerializeQueryBatchResponse(*resp, &w2, wire);
-    ByteReader r2((Slice(w2.buffer())));
-    auto out2 = DeserializeQueryBatchResponse(&r2, schema_, shorter);
-    ASSERT_FALSE(out2.ok());
-    EXPECT_TRUE(out2.status().IsCorruption()) << out2.status().ToString();
+  // Too few: drop the last response before serializing.
+  QueryBatchResponse fewer;
+  fewer.replica_version = resp->replica_version;
+  fewer.stats = resp->stats;
+  for (size_t i = 0; i + 1 < resp->responses.size(); ++i) {
+    QueryResponse qr;
+    qr.status = resp->responses[i].status;
+    qr.rows = resp->responses[i].rows;
+    qr.vo = resp->responses[i].vo.Clone();
+    fewer.responses.push_back(std::move(qr));
   }
+  ByteWriter w;
+  SerializeQueryBatchResponse(fewer, &w);
+  ByteReader r((Slice(w.buffer())));
+  auto out = DeserializeQueryBatchResponse(&r, schema_, batch.queries);
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+
+  // Too many: deserialize against a shorter query list.
+  std::vector<SelectQuery> shorter(batch.queries.begin(),
+                                   batch.queries.end() - 1);
+  ByteWriter w2;
+  SerializeQueryBatchResponse(*resp, &w2);
+  ByteReader r2((Slice(w2.buffer())));
+  auto out2 = DeserializeQueryBatchResponse(&r2, schema_, shorter);
+  ASSERT_FALSE(out2.ok());
+  EXPECT_TRUE(out2.status().IsCorruption()) << out2.status().ToString();
 }
 
 TEST_F(QueryServiceTest, BatchWithOneInvalidQueryStillAuthenticatesRest) {
@@ -663,11 +659,11 @@ TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
   // must either fail to parse or fail verification — never authenticate.
   QueryBatch batch = MixedBatch();
   for (SelectQuery& q : batch.queries) q.NormalizeProjection();
-  auto resp = edge_->HandleQueryBatch(batch);
-  ASSERT_TRUE(resp.ok());
+  auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
   ByteWriter w(1 << 12);
-  SerializeQueryBatchResponse(*resp, &w, BatchWire::kV2);
+  SerializeQueryBatchResponse(*resp, &w);
   std::vector<uint8_t> honest = w.TakeBuffer();
 
   DigestSchema ds(central_->db_name(), "items", schema_,

@@ -2,8 +2,8 @@
 // shards must produce row-for-row identical *verified* results for the
 // same queries — including ranges inside one shard, ranges landing
 // exactly on shard boundaries, and ranges spanning every shard — through
-// both the single-query scatter path and the batched scatter-gather
-// path.
+// both Client::Query and the batched scatter-gather path, which must also
+// agree with each other (a query is a batch of one).
 //
 // The DML-heavy suite extends the same equivalence bar to the per-shard
 // write pipeline: concurrent pipelined DML must land row-for-row
@@ -79,13 +79,7 @@ std::unique_ptr<Stack> MakeStack(size_t shards) {
 
   stack->client = std::make_unique<Client>(stack->central->db_name(),
                                            stack->central->key_directory());
-  if (shards == 1) {
-    // The 1-shard stack registers the table the pre-sharding way: the
-    // legacy verification path is the equivalence baseline.
-    stack->client->RegisterTable("t", stack->schema);
-  } else {
-    stack->client->RegisterShardedTable("t", stack->schema);
-  }
+  stack->client->RegisterTable("t", stack->schema);
   return stack;
 }
 
@@ -207,6 +201,38 @@ TEST(ShardEquivalenceTest, BatchedQueriesMatchRowForRow) {
                    what + " (1 vs 4)");
     ExpectSameRows(b1->results[i].rows, b16->results[i].rows,
                    what + " (1 vs 16)");
+  }
+}
+
+TEST(ShardEquivalenceTest, QueryEqualsOneQueryBatch) {
+  for (size_t shards : {1, 4, 16}) {
+    auto stack = MakeStack(shards);
+    ASSERT_NE(stack, nullptr);
+    QueryService service(stack->edge.get(), QueryServiceOptions{2, 64});
+    size_t qi = 0;
+    for (const SelectQuery& q : EquivalenceQueries()) {
+      const std::string what = std::to_string(shards) + " shards, query " +
+                               std::to_string(qi++);
+      auto single = stack->client->Query(stack->edge.get(), q, 10, &stack->net);
+      QueryBatch batch;
+      batch.table = "t";
+      batch.queries.push_back(q);
+      auto batched = stack->client->QueryBatched(&service, batch, 10, nullptr,
+                                                 &stack->net);
+      ASSERT_TRUE(single.ok()) << what << ": " << single.status().ToString();
+      ASSERT_TRUE(batched.ok()) << what << ": " << batched.status().ToString();
+      ASSERT_EQ(batched->results.size(), 1u) << what;
+      const Client::Verified& b = batched->results[0];
+      EXPECT_TRUE(single->verification.ok())
+          << what << ": " << single->verification.ToString();
+      EXPECT_EQ(single->verification.code(), b.verification.code()) << what;
+      ExpectSameRows(single->rows, b.rows, what);
+      // Every table answers under its signed map, one shard or sixteen.
+      EXPECT_GE(single->map_epoch, 1u) << what;
+      EXPECT_EQ(single->map_epoch, b.map_epoch) << what;
+      EXPECT_EQ(single->map_epoch, batched->map_epoch) << what;
+      EXPECT_EQ(single->shards_touched, b.shards_touched) << what;
+    }
   }
 }
 

@@ -197,7 +197,7 @@ TEST(SplitPipelineTest, AutoSplitConvergesUnderSkewedWrites) {
   ASSERT_TRUE(hub.Subscribe(&edge).ok());
   ASSERT_TRUE(hub.SyncAll().ok());
   Client client(central->db_name(), central->key_directory());
-  client.RegisterShardedTable("t", schema);
+  client.RegisterTable("t", schema);
   for (const auto& s : map->shards) {
     SelectQuery q;
     q.table = "t";
@@ -238,8 +238,8 @@ TEST(SplitPipelineTest, PinnedReadRejectsEpochMixAcrossTables) {
   ASSERT_TRUE(hub.Subscribe(&edge).ok());
   ASSERT_TRUE(hub.SyncAll().ok());
   Client client(central->db_name(), central->key_directory());
-  client.RegisterShardedTable("t", schema);
-  client.RegisterShardedTable("u", schema);
+  client.RegisterTable("t", schema);
+  client.RegisterTable("u", schema);
 
   SelectQuery qt;
   qt.table = "t";
@@ -303,7 +303,7 @@ TEST(SplitPipelineTest, SiblingSubstitutionFailsVerification) {
   ASSERT_TRUE(hub.Subscribe(&edge).ok());
   ASSERT_TRUE(hub.SyncAll().ok());
   Client client(central->db_name(), central->key_directory());
-  client.RegisterShardedTable("t", schema);
+  client.RegisterTable("t", schema);
 
   SelectQuery right_q;
   right_q.table = "t";

@@ -86,15 +86,40 @@ struct TestDb {
 
 /// Caller-driven snapshot shipping for tests that exercise the wire
 /// codecs and replica mechanics directly. Production code propagates via
-/// the DistributionHub (edge/propagation/distribution_hub.h).
+/// the DistributionHub (edge/propagation/distribution_hub.h). Like the
+/// hub, it installs the signed map of the shard's table (or view) ahead
+/// of the snapshot: an edge answers no query without one.
 inline Status Publish(CentralServer* central, const std::string& name,
                       EdgeServer* edge, Transport* net = nullptr) {
+  std::string base = name;
+  uint32_t shard_id = 0;
+  PartitionMap::ParseShardName(name, &base, &shard_id);
+  auto map = central->TablePartitionMap(base);
+  if (!map.ok()) return map.status();
+  ByteWriter map_bytes(128);
+  map->Serialize(&map_bytes);
+  Status installed = edge->InstallPartitionMap(Slice(map_bytes.buffer()));
+  if (!installed.ok()) return installed;
   auto snapshot = central->ExportTableSnapshot(name);
   if (!snapshot.ok()) return snapshot.status();
   if (net != nullptr) {
     net->Record("central->edge:" + edge->name(), snapshot->size());
   }
   return edge->InstallSnapshot(Slice(*snapshot));
+}
+
+/// Executes `batch` on `edge` and returns its sole shard group's response
+/// — the v2 group codec's input, for tests whose queries all land on one
+/// shard (an unsplit table, or ranges inside one shard).
+inline Result<QueryBatchResponse> ExecuteSoleGroup(EdgeServer* edge,
+                                                   const QueryBatch& batch) {
+  auto resp = edge->HandleQueryBatch(batch);
+  if (!resp.ok()) return resp.status();
+  if (resp->groups.size() != 1) {
+    return Status::Internal("expected one shard group, got " +
+                            std::to_string(resp->groups.size()));
+  }
+  return std::move(resp->groups[0].resp);
 }
 
 /// Caller-driven delta shipping: serializes everything logged past the

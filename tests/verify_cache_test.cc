@@ -199,6 +199,15 @@ class VerifyCacheSoundnessTest : public ::testing::Test {
     client_->RegisterTable("items", schema_);
   }
 
+  /// The edge's honest answer to `q` alone (a one-query batch).
+  Result<QueryBatchResponse> HonestAnswer(SelectQuery q) {
+    q.NormalizeProjection();
+    QueryBatch batch;
+    batch.table = "items";
+    batch.queries.push_back(std::move(q));
+    return testutil::ExecuteSoleGroup(edge_.get(), batch);
+  }
+
   QueryBatch HotBatch() {
     QueryBatch batch;
     batch.table = "items";
@@ -230,8 +239,9 @@ TEST_F(VerifyCacheSoundnessTest, BitFlippedSignatureMissesWarmCacheAndFails) {
   // signature; every variant must fail against the warm cache, and the
   // flipped bytes must not hit any cached digest.
   SelectQuery q = HotBatch().queries[0];
-  auto honest = edge_->HandleQuery(q);
-  ASSERT_TRUE(honest.ok());
+  auto answer = HonestAnswer(q);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const QueryResponse* honest = &answer->responses[0];
 
   auto verify_with_warm_cache = [&](const VerificationObject& vo) {
     auto rec = central_->key_directory()->RecovererFor(vo.key_version, 10);
@@ -273,8 +283,9 @@ TEST_F(VerifyCacheSoundnessTest, SwappedPoolIndexFailsVerification) {
   // every byte string in the pool is individually authentic (and may
   // individually be cache-hot).
   SelectQuery q = HotBatch().queries[0];
-  auto honest = edge_->HandleQuery(q);
-  ASSERT_TRUE(honest.ok());
+  auto answer = HonestAnswer(q);
+  ASSERT_TRUE(answer.ok()) << answer.status().ToString();
+  const QueryResponse* honest = &answer->responses[0];
 
   SignaturePool pool;
   ByteWriter body;

@@ -134,10 +134,8 @@ void DoLoad(CliState* st, size_t n) {
   st->client =
       std::make_unique<Client>(st->central->db_name(),
                                st->central->key_directory());
-  // Auto-split can shard the table later, so the client must speak the
-  // partition-map protocol whenever the policy is live.
+  st->client->RegisterTable(kTable, st->schema);
   if (st->shards > 1 || st->auto_split) {
-    st->client->RegisterShardedTable(kTable, st->schema);
     std::printf("loaded %zu rows across %zu shards (map epoch %llu)\n", n,
                 st->central->ShardCount(kTable).ValueOrDie(),
                 static_cast<unsigned long long>(
@@ -145,7 +143,6 @@ void DoLoad(CliState* st, size_t n) {
                         .ValueOrDie()
                         .epoch));
   } else {
-    st->client->RegisterTable(kTable, st->schema);
     std::printf("loaded %zu rows; root digest %s...\n", n,
                 st->central->tree(kTable)->root_digest().ToHex().substr(0, 16)
                     .c_str());
@@ -154,7 +151,7 @@ void DoLoad(CliState* st, size_t n) {
 }
 
 void DoQuery(CliState* st, int64_t lo, int64_t hi) {
-  if (!st->edge->HasTable(kTable) && st->edge->MapEpoch(kTable) == 0) {
+  if (st->edge->MapEpoch(kTable) == 0) {
     std::printf("error: edge has no replica; run `publish`\n");
     return;
   }
@@ -230,9 +227,6 @@ void Dispatch(CliState* st, const std::string& line) {
     }
     Status s = st->central->SplitShard(kTable, key);
     if (s.ok()) {
-      // The table is sharded from here on: the client must authenticate
-      // the partition map and scatter per shard.
-      st->client->RegisterShardedTable(kTable, st->schema);
       std::printf("split at %lld: now %zu shard(s), map epoch %llu "
                   "(run `sync` to propagate)\n",
                   static_cast<long long>(key),
@@ -289,7 +283,7 @@ void Dispatch(CliState* st, const std::string& line) {
   } else if (cmd == "audit") {
     if (!RequireLoaded(*st)) return;
     // Audits every shard replica (one shard, the plain name, when the
-    // table is unsharded).
+    // table was never split).
     auto map = st->central->TablePartitionMap(kTable);
     if (!map.ok()) {
       std::printf("error: %s\n", map.status().ToString().c_str());
