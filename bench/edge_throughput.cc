@@ -74,8 +74,8 @@ struct Config {
   uint64_t churn_interval_us = 2000;
   /// Zipf exponent for range starts (0 = uniform): skewed starts make
   /// batch envelopes overlap — the workload signature interning and the
-  /// edge VO cache are built for. The default models a hot-range edge
-  /// (CDN-style popularity skew).
+  /// client digest cache are built for. The default models a hot-range
+  /// edge (CDN-style popularity skew).
   double zipf = 0.99;
   /// --trust-mode certified|lazy|sampled: certified verifies every
   /// answer synchronously (the default contract); lazy delivers
@@ -179,7 +179,6 @@ struct RunResult {
   uint64_t vo_bytes_total = 0;
   /// VO bytes actually shipped (per-group signature pools + pooled VOs).
   uint64_t vo_wire_bytes_total = 0;
-  uint64_t vo_cache_hits = 0;
   double vo_bytes_per_query = 0;
   double vo_raw_bytes_per_query = 0;
   uint64_t shared_fetch_hits = 0;
@@ -348,7 +347,7 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
       QueryService* service = services[c % services.size()].get();
       Rng rng(77 + c);
       // Zipf-skewed range starts: hot windows recur within and across
-      // batches, so envelopes overlap (interning + VO-cache territory).
+      // batches, so envelopes overlap (signature-interning territory).
       ZipfGenerator zipf(n_tuples, cfg.zipf > 0 ? cfg.zipf : 0.99,
                          990 + c);
       while (!stop.load(std::memory_order_relaxed)) {
@@ -538,7 +537,6 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
                                      st.queue_wait_us_max);
     run.vo_bytes_total += st.vo_bytes_total;
     run.vo_wire_bytes_total += st.vo_wire_bytes_total;
-    run.vo_cache_hits += st.vo_cache_hits;
     run.olc_restarts += st.olc_restarts;
     run.latch_wait_us_total += st.latch_wait_us_total;
   }
@@ -561,12 +559,9 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
 
   // Shared-traversal savings: re-issue one representative batch directly
   // so the VBBatchStats are attributable (service-side batches all fold
-  // into the same counters). Two details keep these counters honest:
-  // the VO cache is bypassed — a cache hit skips the tree walk entirely,
-  // so a repeated batch would report tuple_fetches=0 and the memo would
-  // look dead (it did, for a whole release) — and the ranges form an
-  // overlapping staircase (step = span/2), so consecutive queries share
-  // tuples and the per-batch fetch memo provably has hits to report.
+  // into the same counters). The ranges form an overlapping staircase
+  // (step = span/2), so consecutive queries share tuples and the
+  // per-batch fetch memo provably has hits to report.
   {
     QueryBatch batch;
     batch.table = "events";
@@ -577,7 +572,7 @@ RunResult RunOnce(CentralServer* central, DistributionHub* hub,
       batch.queries.push_back(
           SelectQuery{"events", KeyRange{lo, lo + cfg.range_span}, {}, {}});
     }
-    auto resp = (*edges)[0]->HandleQueryBatch(batch, /*bypass_vo_cache=*/true);
+    auto resp = (*edges)[0]->HandleQueryBatch(batch);
     if (resp.ok()) {
       run.shared_fetch_hits = resp->stats.shared_fetch_hits;
       run.tuple_fetches = resp->stats.tuple_fetches;
@@ -855,7 +850,7 @@ void PrintJson(const Config& cfg, size_t n_tuples,
                 "\"exec_avg_us\": %.1f, \"olc_restarts\": %llu, "
                 "\"olc_restarts_per_query\": %.4f, "
                 "\"latch_wait_avg_us\": %.2f, \"vo_bytes\": %llu, "
-                "\"vo_wire_bytes\": %llu, \"vo_cache_hits\": %llu, "
+                "\"vo_wire_bytes\": %llu, "
                 "\"vo_bytes_per_query\": %.1f, "
                 "\"vo_raw_bytes_per_query\": %.1f, "
                 "\"verify_failures\": %llu, \"stale_batches\": %llu, "
@@ -892,7 +887,6 @@ void PrintJson(const Config& cfg, size_t n_tuples,
                 r.olc_restarts_per_query, r.latch_wait_avg_us,
                 static_cast<unsigned long long>(r.vo_bytes_total),
                 static_cast<unsigned long long>(r.vo_wire_bytes_total),
-                static_cast<unsigned long long>(r.vo_cache_hits),
                 r.vo_bytes_per_query, r.vo_raw_bytes_per_query,
                 static_cast<unsigned long long>(r.verify_failures),
                 static_cast<unsigned long long>(r.stale_batches),
@@ -1339,7 +1333,7 @@ int main(int argc, char** argv) {
           "queue_wait(avg/max)=%6.0f/%llu us  batches=%llu  "
           "olc_restarts=%llu latch_wait=%.0fus/b  "
           "verify_fail=%llu stale=%llu updates=%llu shared_hits=%llu/%llu  "
-          "vo_B/q=%.0f (raw %.0f)  vo_cache_hits=%llu  "
+          "vo_B/q=%.0f (raw %.0f)  "
           "verify=%.0fus/q cov=%.2f recovers=%llu dcache=%llu/%llu "
           "memo=%llu\n",
           r.workers, r.qps, r.batch_p50_us, r.batch_p99_us,
@@ -1355,7 +1349,6 @@ int main(int argc, char** argv) {
           static_cast<unsigned long long>(
               r.shared_fetch_hits + r.tuple_fetches),
           r.vo_bytes_per_query, r.vo_raw_bytes_per_query,
-          static_cast<unsigned long long>(r.vo_cache_hits),
           r.verify_cost_us_per_query, r.verify_coverage,
           static_cast<unsigned long long>(r.recover_calls),
           static_cast<unsigned long long>(r.digest_cache_hits),

@@ -8,7 +8,9 @@
 #   ./ci.sh --bench-smoke     regular build, then a short edge_throughput
 #                             run emitting BENCH_edge_throughput.json
 #                             (+ the shards=4 and --trust-mode=lazy
-#                             variants, each with their own gates)
+#                             variants, each with their own gates), then
+#                             the repository benchmark's smoke run
+#                             (benchmark/run.sh --smoke)
 #   ./ci.sh --chaos           regular build, then the chaos failover
 #                             suite + two short --fault-profile bench
 #                             passes (liar, lossy) with quarantine /
@@ -509,6 +511,12 @@ PY
   "./$BUILD_DIR/bench/crypto_bench" --json > BENCH_crypto.json
   python3 -m json.tool BENCH_crypto.json > /dev/null
   echo "wrote BENCH_crypto.json"
+  # Repository benchmark smoke: builds benchmark/vbt_bench.cc against
+  # this tree (nothing else compiles it, and it reads public types the
+  # library must keep), then runs every workload untraced and traced
+  # with 1 s phases. Each run must pass its oracle and print every
+  # metric BENCHMARK.json declares, finite and in its unit.
+  bash benchmark/run.sh --smoke
   exit 0
 fi
 

@@ -10,11 +10,6 @@ namespace vbtree {
 namespace {
 constexpr uint32_t kSnapshotMagic = 0x50414E53;  // "SNAP"
 
-/// Per-table VO-cache capacity; at the cap the table's entries are
-/// dropped wholesale (hot ranges repopulate within a few requests, and
-/// a simple policy keeps the query hot path free of eviction bookkeeping).
-constexpr size_t kVOCacheMaxEntries = 1024;
-
 /// Splits a replica name into (base table, shard id): "t#3" → ("t", 3),
 /// plain "t" → ("t", 0) — id 0 is the sole shard of an unsplit table.
 void SplitReplicaName(const std::string& name, std::string* base,
@@ -25,17 +20,6 @@ void SplitReplicaName(const std::string& name, std::string* base,
   }
 }
 }  // namespace
-
-std::string VOCacheKey(const SelectQuery& q) {
-  // The serialized normalized query (minus the redundant table name — the
-  // cache is per table) is a canonical fingerprint of range, conditions
-  // and projection; sharing the batch framing's encoder keeps the
-  // fingerprint complete if SelectQuery ever grows a field.
-  ByteWriter w(64);
-  SerializeSelectQuerySansTable(q, &w);
-  return std::string(reinterpret_cast<const char*>(w.buffer().data()),
-                     w.size());
-}
 
 Status EdgeServer::InstallSnapshot(Slice snapshot) {
   ByteReader r(snapshot);
@@ -80,9 +64,6 @@ Status EdgeServer::InstallSnapshot(Slice snapshot) {
     // dies with the last of them.
     tables_[table] = std::move(replica);
   }
-  // Version bump: cached proofs were built from the replaced tree state
-  // and must never be served again.
-  VOCacheFlush(table);
   return Status::OK();
 }
 
@@ -91,7 +72,6 @@ Status EdgeServer::InstallPartitionMap(Slice map_bytes) {
   VBT_ASSIGN_OR_RETURN(PartitionMap map, PartitionMap::Deserialize(&r));
   auto bytes = std::make_shared<const std::vector<uint8_t>>(
       map_bytes.data(), map_bytes.data() + map_bytes.size());
-  std::vector<std::string> dropped;
   {
     std::unique_lock lock(mu_);
     auto it = maps_.find(map.table);
@@ -101,13 +81,12 @@ Status EdgeServer::InstallPartitionMap(Slice map_bytes) {
           " for '" + map.table + "' (installed epoch " +
           std::to_string(it->second.map.epoch) + ")");
     }
-    // Retire replicas that left the layout; their cached proofs go too.
+    // Retire replicas that left the layout.
     for (auto t = tables_.begin(); t != tables_.end();) {
       std::string base;
       uint32_t shard_id = 0;
       SplitReplicaName(t->first, &base, &shard_id);
       if (base == map.table && map.FindShard(shard_id) == nullptr) {
-        dropped.push_back(t->first);
         t = tables_.erase(t);
       } else {
         ++t;
@@ -116,7 +95,6 @@ Status EdgeServer::InstallPartitionMap(Slice map_bytes) {
     const std::string table = map.table;
     maps_[table] = InstalledMap{std::move(map), std::move(bytes)};
   }
-  for (const std::string& name : dropped) VOCacheFlush(name);
   return Status::OK();
 }
 
@@ -156,13 +134,6 @@ Status EdgeServer::ApplyUpdateBatch(Slice batch_bytes) {
         std::to_string(replica->tree->version()) + ", batch starts at " +
         std::to_string(batch.from_version) + " (request a full snapshot)");
   }
-  // Replay mutates the tree from the first op on: flush the VO cache
-  // before touching anything, so even a mid-replay failure cannot leave
-  // proofs of the pre-delta state behind. (Entries are version-keyed, so
-  // a concurrent batch racing this flush still cannot serve a stale
-  // proof — the flush is for telemetry and memory, the version key is
-  // the correctness mechanism.)
-  VOCacheFlush(batch.table);
   for (const UpdateOp& op : batch.ops) {
     std::deque<Signature> feed(op.resigned.begin(), op.resigned.end());
     if (op.kind == UpdateOp::Kind::kInsert) {
@@ -196,96 +167,6 @@ uint64_t EdgeServer::TableVersion(const std::string& table) const {
   return it == tables_.end() ? 0 : it->second->tree->version();
 }
 
-std::shared_ptr<const EdgeServer::CachedQuery> EdgeServer::MakeCachedQuery(
-    QueryOutput out) {
-  auto entry = std::make_shared<CachedQuery>();
-  entry->out = std::move(out);
-  for (const ResultRow& row : entry->out.rows) {
-    entry->result_bytes += row.SerializedSize();
-  }
-  entry->vo_bytes = entry->out.vo.SerializedSize();
-  return entry;
-}
-
-QueryResponse EdgeServer::ResponseFromCached(const CachedQuery& entry,
-                                             uint64_t replica_version) const {
-  QueryResponse resp;
-  resp.rows = entry.out.rows;
-  resp.vo = entry.out.vo.Clone();
-  resp.replica_version = replica_version;
-  // Tamper modes touch rows only, so the memoized VO size always holds;
-  // row bytes are recomputed only when a tamper hook actually ran.
-  resp.vo_bytes = entry.vo_bytes;
-  if (response_tamper_ == ResponseTamper::kNone ||
-      response_tamper_ == ResponseTamper::kDropShardGroup) {
-    resp.result_bytes = entry.result_bytes;
-  } else {
-    ApplyResponseTamper(&resp);
-    for (const ResultRow& row : resp.rows) {
-      resp.result_bytes += row.SerializedSize();
-    }
-  }
-  return resp;
-}
-
-void EdgeServer::VOCacheLookupBatch(
-    const std::string& table, const std::vector<std::string>& keys,
-    uint64_t version,
-    std::vector<std::shared_ptr<const CachedQuery>>* results) const {
-  results->assign(keys.size(), nullptr);
-  std::lock_guard guard(vo_cache_mu_);
-  VOCache& cache = vo_caches_[table];
-  if (cache.version != version) {
-    cache.misses += keys.size();
-    return;
-  }
-  for (size_t i = 0; i < keys.size(); ++i) {
-    auto it = cache.entries.find(keys[i]);
-    if (it == cache.entries.end()) {
-      cache.misses++;
-    } else {
-      cache.hits++;
-      (*results)[i] = it->second;
-    }
-  }
-}
-
-void EdgeServer::VOCacheInsertBatch(
-    const std::string& table, uint64_t version,
-    std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
-        entries) const {
-  if (entries.empty()) return;
-  std::lock_guard guard(vo_cache_mu_);
-  VOCache& cache = vo_caches_[table];
-  if (cache.version != version) {
-    // First entries at a new version (or a racing stale insert): the map
-    // only ever holds entries of ONE version.
-    cache.entries.clear();
-    cache.version = version;
-  }
-  for (auto& [key, entry] : entries) {
-    if (cache.entries.size() >= kVOCacheMaxEntries) cache.entries.clear();
-    cache.entries.insert_or_assign(key, std::move(entry));
-  }
-}
-
-void EdgeServer::VOCacheFlush(const std::string& table) const {
-  std::lock_guard guard(vo_cache_mu_);
-  auto it = vo_caches_.find(table);
-  if (it == vo_caches_.end()) return;
-  it->second.entries.clear();
-  it->second.invalidations++;
-}
-
-EdgeServer::VOCacheStats EdgeServer::vo_cache_stats(
-    const std::string& table) const {
-  std::lock_guard guard(vo_cache_mu_);
-  auto it = vo_caches_.find(table);
-  if (it == vo_caches_.end()) return VOCacheStats{};
-  return VOCacheStats{it->second.hits, it->second.misses,
-                      it->second.entries.size(), it->second.invalidations};
-}
-
 void EdgeServer::ApplyResponseTamper(QueryResponse* resp) const {
   switch (response_tamper_) {
     case ResponseTamper::kNone:
@@ -311,109 +192,36 @@ void EdgeServer::ApplyResponseTamper(QueryResponse* resp) const {
 }
 
 Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
-    const std::string& table, const TableReplica& replica,
-    std::span<const SelectQuery> queries, bool bypass_vo_cache) const {
+    const TableReplica& replica, std::span<const SelectQuery> queries) const {
   const auto start = std::chrono::steady_clock::now();
-
-  // VO-cache pass: hot ranges skip BuildVONode entirely. Execution is
-  // latch-free, so the replica version CAN move between the lookup and
-  // the miss execution; hits taken at v0 are kept only if the misses
-  // also answered at v0 — otherwise the whole batch re-executes, so the
-  // coalesced response always reflects ONE tree version.
-  const size_t n = queries.size();
-  const uint64_t v0 = replica.tree->version();
-  std::vector<std::string> cache_keys(n);
-  std::vector<std::shared_ptr<const CachedQuery>> cached(n, nullptr);
-  uint64_t cache_hits = 0;
-  std::vector<SelectQuery> miss_queries;
-  std::vector<size_t> miss_index;
-  if (!bypass_vo_cache) {
-    for (size_t i = 0; i < n; ++i) {
-      SelectQuery norm = queries[i];
-      norm.NormalizeProjection();
-      cache_keys[i] = VOCacheKey(norm);
-    }
-    VOCacheLookupBatch(table, cache_keys, v0, &cached);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (cached[i] != nullptr) {
-      cache_hits++;
-    } else {
-      miss_queries.push_back(queries[i]);
-      miss_index.push_back(i);
-    }
-  }
-
   VBBatchStats tree_stats;
-  std::vector<QueryOutput> miss_outs;
-  uint64_t label = v0;
-  if (!miss_queries.empty()) {
-    VBT_ASSIGN_OR_RETURN(
-        miss_outs,
-        replica.tree->ExecuteSelectBatch(miss_queries, replica.store.Fetcher(),
-                                         &tree_stats));
-    label = tree_stats.read_version;
-    if (cache_hits > 0 && label != v0) {
-      // Concurrent replay moved the tree between the cache lookup (v0)
-      // and the miss execution (label): the mixed answer would span two
-      // versions. Drop the hits and re-execute the full batch at one
-      // label — rare (requires a mid-batch commit), and the re-run's
-      // work is counted in the stats like any other execution.
-      cached.assign(n, nullptr);
-      cache_hits = 0;
-      miss_queries.assign(queries.begin(), queries.end());
-      miss_index.resize(n);
-      for (size_t i = 0; i < n; ++i) miss_index[i] = i;
-      VBBatchStats rerun_stats;
-      VBT_ASSIGN_OR_RETURN(
-          miss_outs, replica.tree->ExecuteSelectBatch(
-                         miss_queries, replica.store.Fetcher(), &rerun_stats));
-      tree_stats.nodes_visited += rerun_stats.nodes_visited;
-      tree_stats.tuple_fetches += rerun_stats.tuple_fetches;
-      tree_stats.shared_fetch_hits += rerun_stats.shared_fetch_hits;
-      tree_stats.olc_restarts += rerun_stats.olc_restarts;
-      tree_stats.latch_wait_us += rerun_stats.latch_wait_us;
-      label = rerun_stats.read_version;
-    }
-  }
-  std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
-      inserts;
-  inserts.reserve(miss_outs.size());
-  for (size_t m = 0; m < miss_outs.size(); ++m) {
-    // Only honest, successful outputs are worth memoizing; failed slots
-    // are cheap to recompute and carry no proof.
-    if (miss_outs[m].status.ok()) {
-      auto owned = MakeCachedQuery(std::move(miss_outs[m]));
-      cached[miss_index[m]] = owned;
-      if (!bypass_vo_cache) {
-        inserts.emplace_back(cache_keys[miss_index[m]], owned);
-      }
-    }
-  }
-  VOCacheInsertBatch(table, label, std::move(inserts));
+  VBT_ASSIGN_OR_RETURN(
+      std::vector<QueryOutput> outs,
+      replica.tree->ExecuteSelectBatch(queries, replica.store.Fetcher(),
+                                       &tree_stats));
 
+  // Every answer comes straight from this one batched walk, so the whole
+  // group carries the single tree version the walk converged on.
   QueryBatchResponse resp;
-  resp.replica_version = label;
-  resp.responses.reserve(n);
-  size_t miss_pos = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const bool is_miss =
-        miss_pos < miss_index.size() && miss_index[miss_pos] == i;
+  resp.replica_version = tree_stats.read_version;
+  resp.responses.reserve(outs.size());
+  for (QueryOutput& out : outs) {
     QueryResponse r;
-    if (cached[i] != nullptr) {
-      r = ResponseFromCached(*cached[i], label);
+    r.status = std::move(out.status);
+    r.replica_version = resp.replica_version;
+    if (r.status.ok()) {
+      r.rows = std::move(out.rows);
+      r.vo = std::move(out.vo);
+      ApplyResponseTamper(&r);
+      for (const ResultRow& row : r.rows) {
+        r.result_bytes += row.SerializedSize();
+      }
+      r.vo_bytes = r.vo.SerializedSize();
       resp.stats.total_result_bytes += r.result_bytes;
       resp.stats.total_vo_bytes += r.vo_bytes;
-    } else {
-      // Successful misses were published to cached[] above, so a still-null
-      // slot is a failed query: carry its status, ship no rows/VO.
-      r.replica_version = label;
-      r.status = miss_outs[miss_pos].status;
     }
-    if (is_miss) miss_pos++;
     resp.responses.push_back(std::move(r));
   }
-  resp.stats.vo_cache_hits = cache_hits;
   resp.stats.nodes_visited = tree_stats.nodes_visited;
   resp.stats.tuple_fetches = tree_stats.tuple_fetches;
   resp.stats.shared_fetch_hits = tree_stats.shared_fetch_hits;
@@ -427,7 +235,7 @@ Result<QueryBatchResponse> EdgeServer::ExecuteBatchOnReplica(
 }
 
 Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatch(
-    const QueryBatch& batch, bool bypass_vo_cache) const {
+    const QueryBatch& batch) const {
   for (const SelectQuery& q : batch.queries) {
     if (!q.table.empty() && q.table != batch.table) {
       return Status::InvalidArgument("batch over '" + batch.table +
@@ -443,7 +251,7 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatch(
   // batches can never pair one layout's map with another's replicas.
   std::shared_ptr<const std::vector<uint8_t>> map_bytes;
   std::vector<ShardScatter> plan;
-  std::vector<std::pair<std::string, std::shared_ptr<TableReplica>>> pinned;
+  std::vector<std::shared_ptr<TableReplica>> pinned;
   {
     std::shared_lock lock(mu_);
     auto m = maps_.find(batch.table);
@@ -462,7 +270,7 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatch(
       if (it == tables_.end()) {
         return Status::NotFound("shard replica not installed: " + shard_name);
       }
-      pinned.emplace_back(shard_name, it->second);
+      pinned.push_back(it->second);
     }
   }
 
@@ -476,10 +284,8 @@ Result<ShardedQueryBatchResponse> EdgeServer::HandleQueryBatch(
     for (const ShardSlice& slice : group.slices) {
       slice_queries.push_back(slice.query);
     }
-    VBT_ASSIGN_OR_RETURN(
-        QueryBatchResponse gr,
-        ExecuteBatchOnReplica(pinned[gi].first, *pinned[gi].second,
-                              slice_queries, bypass_vo_cache));
+    VBT_ASSIGN_OR_RETURN(QueryBatchResponse gr,
+                         ExecuteBatchOnReplica(*pinned[gi], slice_queries));
     out.stats.Accumulate(gr.stats);
     out.groups.push_back(ShardBatchGroup{group.shard_id, std::move(gr)});
   }
@@ -513,7 +319,6 @@ Result<std::vector<uint8_t>> EdgeServer::HandleQueryBatchBytes(
 Status EdgeServer::TamperValueByKey(const std::string& table, int64_t key,
                                     size_t col, Value v) {
   std::shared_ptr<TableReplica> replica;
-  std::string resolved = table;
   {
     std::shared_lock lock(mu_);
     auto it = tables_.find(table);
@@ -522,18 +327,13 @@ Status EdgeServer::TamperValueByKey(const std::string& table, int64_t key,
       // shard replica owns the key.
       auto m = maps_.find(table);
       if (m != maps_.end()) {
-        resolved = m->second.map.ShardName(
-            table, m->second.map.ShardForKey(key).shard_id);
-        it = tables_.find(resolved);
+        it = tables_.find(m->second.map.ShardName(
+            table, m->second.map.ShardForKey(key).shard_id));
       }
     }
     if (it == tables_.end()) return Status::NotFound("no replica of " + table);
     replica = it->second;
   }
-  // The hook models store corruption on a hacked edge: drop any cached
-  // (honest, pre-tamper) outputs so subsequent VOs are rebuilt from the
-  // corrupted store — which is what the client-side detection tests prove.
-  VOCacheFlush(resolved);
   return replica->store.TamperByKey(key, col, std::move(v));
 }
 
@@ -582,7 +382,6 @@ void SerializeQueryBatchResponse(const QueryBatchResponse& resp, ByteWriter* w,
   w->PutVarint(resp.stats.total_vo_bytes);
   w->PutVarint(vo_wire_bytes);
   w->PutVarint(pool.size());
-  w->PutVarint(resp.stats.vo_cache_hits);
   w->PutVarint(resp.stats.olc_restarts);
   w->PutVarint(resp.stats.latch_wait_us);
   if (wire_stats != nullptr) {
@@ -663,7 +462,6 @@ Result<QueryBatchResponse> DeserializeQueryBatchResponse(
   VBT_ASSIGN_OR_RETURN(uint64_t claimed_pool_entries, r->ReadVarint());
   (void)claimed_pool_entries;
   resp.stats.sig_pool_entries = pool.size();
-  VBT_ASSIGN_OR_RETURN(resp.stats.vo_cache_hits, r->ReadVarint());
   VBT_ASSIGN_OR_RETURN(resp.stats.olc_restarts, r->ReadVarint());
   VBT_ASSIGN_OR_RETURN(resp.stats.latch_wait_us, r->ReadVarint());
   // Hand the pool to the client so verification can recover each

@@ -76,9 +76,6 @@ struct BatchExecStats {
   uint64_t vo_wire_bytes = 0;
   /// Distinct signatures interned into the batch pool.
   uint64_t sig_pool_entries = 0;
-  /// Queries in this batch answered from the edge's VO cache (skipping
-  /// BuildVONode entirely).
-  uint64_t vo_cache_hits = 0;
   /// Optimistic-read restarts the batch's latch-free tree traversals
   /// needed (0 on a quiesced replica).
   uint64_t olc_restarts = 0;
@@ -100,7 +97,6 @@ struct BatchExecStats {
     total_vo_bytes += o.total_vo_bytes;
     vo_wire_bytes += o.vo_wire_bytes;
     sig_pool_entries += o.sig_pool_entries;
-    vo_cache_hits += o.vo_cache_hits;
     olc_restarts += o.olc_restarts;
     latch_wait_us += o.latch_wait_us;
   }
@@ -193,7 +189,7 @@ class EdgeServer {
   /// Installs a table's signed PartitionMap (shipped by the hub ahead of
   /// shard data). Epoch-monotone: an older epoch than the installed one
   /// is rejected; a newer one replaces it and drops shard replicas that
-  /// are no longer in the layout (their cached proofs go with them).
+  /// are no longer in the layout.
   Status InstallPartitionMap(Slice map_bytes);
 
   /// Epoch of the installed map for `table`, or 0 when none.
@@ -224,10 +220,10 @@ class EdgeServer {
   /// deterministic scatter plan; one brief directory-lock acquisition
   /// pins every planned shard replica, then all groups execute
   /// latch-free with shared traversals (each group gets its own
-  /// batch-wide tuple memo). `bypass_vo_cache` skips the VO cache (bench
-  /// hook: measure tree execution, not response memoization).
+  /// batch-wide tuple memo). Every answer is built from the tree walk;
+  /// the edge keeps no answer cache.
   Result<ShardedQueryBatchResponse> HandleQueryBatch(
-      const QueryBatch& batch, bool bypass_vo_cache = false) const;
+      const QueryBatch& batch) const;
 
   /// Full wire path for callers that bypass a QueryService (direct
   /// dispatch, and Client::Query): the response's queue_wait_us is 0 by
@@ -253,17 +249,17 @@ class EdgeServer {
   /// The replica tree (introspection for tests).
   const VBTree* tree(const std::string& table) const;
 
-  /// VO-cache telemetry for one table (all-zero when the table is
-  /// unknown or never queried).
+  /// Always-zero stub: the edge keeps no VO cache. It stays only because
+  /// the frozen repository benchmark (benchmark/vbt_bench.cc) reads it.
   struct VOCacheStats {
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t entries = 0;
-    /// Wholesale flushes caused by snapshot/delta installs (version
-    /// bumps) — the invalidation rule that makes stale proofs impossible.
     uint64_t invalidations = 0;
   };
-  VOCacheStats vo_cache_stats(const std::string& table) const;
+  VOCacheStats vo_cache_stats(const std::string& /*table*/) const {
+    return VOCacheStats{};
+  }
 
  private:
   struct TableReplica {
@@ -283,64 +279,14 @@ class EdgeServer {
     std::shared_ptr<const std::vector<uint8_t>> bytes;
   };
 
-  /// One memoized honest query output (rows + VO) plus its serialized
-  /// sizes, computed once at insert so cache hits never re-serialize the
-  /// VO just for byte accounting.
-  struct CachedQuery {
-    QueryOutput out;
-    size_t result_bytes = 0;
-    size_t vo_bytes = 0;
-  };
-
-  /// Edge-side VO cache: memoizes whole honest query outputs keyed by
-  /// the normalized query fingerprint, valid for exactly one replica
-  /// version. Every snapshot install / delta replay bumps the version
-  /// and flushes the table's cache wholesale, so a cached proof can
-  /// never outlive the tree state it was built from. Entries are
-  /// shared_ptr-held so concurrent readers copy without holding the
-  /// cache mutex during the (comparatively expensive) clone.
-  struct VOCache {
-    std::map<std::string, std::shared_ptr<const CachedQuery>> entries;
-    uint64_t version = 0;  ///< replica version the entries were built at
-    uint64_t hits = 0;
-    uint64_t misses = 0;
-    uint64_t invalidations = 0;
-  };
-
   void ApplyResponseTamper(QueryResponse* resp) const;
 
   /// Body of one coalesced batch against a pinned `replica`; runs
-  /// entirely outside mu_ (latch-free tree traversals). `table` is the
-  /// replica's (shard) name — the VO-cache key space. VO-cache hits are
-  /// taken at the version observed on entry and discarded if concurrent
-  /// replay moved the tree before the misses executed, so the coalesced
-  /// response always carries ONE consistent replica version.
-  /// `bypass_vo_cache` skips the cache entirely (bench hook: measures
-  /// tree work, not memoization).
+  /// entirely outside mu_ (latch-free tree traversals). One batched walk
+  /// answers every query, so the response carries the ONE tree version
+  /// that walk converged on.
   Result<QueryBatchResponse> ExecuteBatchOnReplica(
-      const std::string& table, const TableReplica& replica,
-      std::span<const SelectQuery> queries, bool bypass_vo_cache) const;
-
-  /// Wraps a successful execution output as a cache entry, computing the
-  /// serialized sizes once.
-  static std::shared_ptr<const CachedQuery> MakeCachedQuery(QueryOutput out);
-  /// Builds the response served from a cache entry (rows copy + VO clone,
-  /// tamper hook, byte accounting from the memoized sizes).
-  QueryResponse ResponseFromCached(const CachedQuery& entry,
-                                   uint64_t replica_version) const;
-
-  /// Fills results[i] with the entry for keys[i] at `version` (nullptr on
-  /// miss), taking the cache mutex once for the whole batch.
-  void VOCacheLookupBatch(
-      const std::string& table, const std::vector<std::string>& keys,
-      uint64_t version,
-      std::vector<std::shared_ptr<const CachedQuery>>* results) const;
-  void VOCacheInsertBatch(
-      const std::string& table, uint64_t version,
-      std::vector<std::pair<std::string, std::shared_ptr<const CachedQuery>>>
-          entries) const;
-  /// Flushes one table's cache (install paths; exclusive latch held).
-  void VOCacheFlush(const std::string& table) const;
+      const TableReplica& replica, std::span<const SelectQuery> queries) const;
 
   std::string name_;
   /// Directory lock only (tables_/maps_ lookups and swaps) — held for
@@ -353,16 +299,8 @@ class EdgeServer {
   std::map<std::string, std::shared_ptr<TableReplica>> tables_;
   /// Installed partition maps, keyed by base table name.
   std::map<std::string, InstalledMap> maps_;
-  /// Guarded by its own mutex (not mu_): lookups/inserts happen under the
-  /// shared latch from many query workers at once.
-  mutable std::mutex vo_cache_mu_;
-  mutable std::map<std::string, VOCache> vo_caches_;
   ResponseTamper response_tamper_ = ResponseTamper::kNone;
 };
-
-/// Builds the cache fingerprint of a normalized query: range, conditions
-/// and projection (the table is the cache's own key). Exposed for tests.
-std::string VOCacheKey(const SelectQuery& q);
 
 /// Batch response wire versions, selected by the leading version byte.
 enum class BatchWire : uint8_t {

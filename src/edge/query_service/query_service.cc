@@ -49,7 +49,6 @@ void QueryService::Account(uint64_t queue_wait_us, uint64_t exec_us,
     stats_.vo_bytes_total += batch_stats->total_vo_bytes;
     stats_.result_bytes_total += batch_stats->total_result_bytes;
     stats_.vo_wire_bytes_total += batch_stats->vo_wire_bytes;
-    stats_.vo_cache_hits += batch_stats->vo_cache_hits;
     stats_.olc_restarts += batch_stats->olc_restarts;
     stats_.latch_wait_us_total += batch_stats->latch_wait_us;
   }

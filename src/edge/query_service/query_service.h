@@ -71,8 +71,6 @@ class QueryService {
     uint64_t vo_bytes_total = 0;
     /// VO bytes actually shipped (signature pools + pooled skeletons).
     uint64_t vo_wire_bytes_total = 0;
-    /// Batched queries answered from the edge's VO cache.
-    uint64_t vo_cache_hits = 0;
     uint64_t result_bytes_total = 0;
     /// Optimistic-read restarts across all batch executions (0 when no
     /// writer ever overlapped a traversal).

@@ -36,15 +36,16 @@ void SerializeSelectQueryTail(const SelectQuery& q, ByteWriter* w) {
   for (size_t c : q.projection) w->PutVarint(c);
 }
 
+/// The query bytes minus the table: the batch names its table once.
+void SerializeSelectQuerySansTable(const SelectQuery& q, ByteWriter* w) {
+  w->PutString(std::string());  // empty table slot keeps the framing
+  SerializeSelectQueryTail(q, w);
+}
+
 }  // namespace
 
 void SerializeSelectQuery(const SelectQuery& q, ByteWriter* w) {
   w->PutString(q.table);
-  SerializeSelectQueryTail(q, w);
-}
-
-void SerializeSelectQuerySansTable(const SelectQuery& q, ByteWriter* w) {
-  w->PutString(std::string());  // empty table slot keeps the framing
   SerializeSelectQueryTail(q, w);
 }
 

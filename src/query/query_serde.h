@@ -16,11 +16,6 @@ namespace vbtree {
 void SerializeSelectQuery(const SelectQuery& q, ByteWriter* w);
 Result<SelectQuery> DeserializeSelectQuery(ByteReader* r);
 
-/// Same encoding with an empty table slot: the canonical "query bytes
-/// minus table" form shared by batch framing (the batch names the table
-/// once) and the edge VO-cache fingerprint (the cache is per table).
-void SerializeSelectQuerySansTable(const SelectQuery& q, ByteWriter* w);
-
 /// Batched request: the table name once, then each query without its
 /// (redundant) table field.
 void SerializeQueryBatch(const QueryBatch& batch, ByteWriter* w);

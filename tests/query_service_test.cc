@@ -593,65 +593,70 @@ TEST_F(QueryServiceTest, BatchWithOneInvalidQueryStillAuthenticatesRest) {
   EXPECT_GT(out->results[3].rows.size(), 0u);
 }
 
-TEST_F(QueryServiceTest, VOCacheServesHotRangesAndAnswersStillAuthenticate) {
-  QueryService service(edge_.get(), QueryServiceOptions{2, 64});
-  QueryBatch batch = MixedBatch();
-
-  auto first = client_->QueryBatched(&service, batch, /*now=*/10);
-  ASSERT_TRUE(first.ok());
-  for (const auto& v : first->results) ASSERT_TRUE(v.verification.ok());
-  EdgeServer::VOCacheStats cold = edge_->vo_cache_stats("items");
-  EXPECT_EQ(cold.hits, 0u);
-  EXPECT_EQ(cold.entries, batch.queries.size());
-
-  // Identical batch again: every query must be served from the cache and
-  // the answers must be byte-equivalent — they authenticate identically.
-  auto second = client_->QueryBatched(&service, batch, /*now=*/10);
-  ASSERT_TRUE(second.ok());
-  for (const auto& v : second->results) ASSERT_TRUE(v.verification.ok());
-  EXPECT_EQ(second->stats.vo_cache_hits, batch.queries.size());
-  EdgeServer::VOCacheStats warm = edge_->vo_cache_stats("items");
-  EXPECT_EQ(warm.hits, batch.queries.size());
-  ASSERT_EQ(second->results.size(), first->results.size());
-  for (size_t i = 0; i < first->results.size(); ++i) {
-    ASSERT_EQ(second->results[i].rows.size(), first->results[i].rows.size());
-    EXPECT_EQ(second->results[i].vo_bytes, first->results[i].vo_bytes);
-  }
-  EXPECT_EQ(service.stats().vo_cache_hits, batch.queries.size());
-}
-
-TEST_F(QueryServiceTest, VOCacheFlushedOnEveryVersionBump) {
-  QueryService service(edge_.get(), QueryServiceOptions{2, 64});
+TEST_F(QueryServiceTest, EveryAnswerWalksTheTreeAtTheCurrentVersion) {
+  // Overlapping staircase (step = span / 2): consecutive queries share
+  // tuples, so every walk has batch fetch-memo hits to report.
   QueryBatch batch;
   batch.table = "items";
-  batch.queries.push_back(RangeQuery(10, 60));
+  for (int i = 0; i < 8; ++i) {
+    batch.queries.push_back(RangeQuery(200 + 10 * i, 220 + 10 * i));
+  }
 
-  ASSERT_TRUE(client_->QueryBatched(&service, batch, /*now=*/10).ok());
-  ASSERT_TRUE(client_->QueryBatched(&service, batch, /*now=*/10).ok());
-  ASSERT_EQ(edge_->vo_cache_stats("items").hits, 1u);
+  // The edge keeps no answer cache: a repeated batch does the same tree
+  // work, so its fetch counters never read as a dead memo.
+  auto first = edge_->HandleQueryBatch(batch);
+  auto second = edge_->HandleQueryBatch(batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_GT(first->stats.tuple_fetches, 0u);
+  EXPECT_GT(first->stats.shared_fetch_hits, 0u);
+  EXPECT_EQ(second->stats.tuple_fetches, first->stats.tuple_fetches);
+  EXPECT_EQ(second->stats.shared_fetch_hits, first->stats.shared_fetch_hits);
 
-  // Delta install bumps the version: the cache must be flushed wholesale
-  // and the next answer must be built from (and verify against) the new
-  // tree state.
+  // End to end, a repeated batch gets identical, authenticated answers.
+  QueryService service(edge_.get(), QueryServiceOptions{2, 64});
+  auto a = client_->QueryBatched(&service, batch, /*now=*/10);
+  auto b = client_->QueryBatched(&service, batch, /*now=*/10);
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  ASSERT_EQ(a->results.size(), batch.queries.size());
+  ASSERT_EQ(b->results.size(), batch.queries.size());
+  for (size_t i = 0; i < batch.queries.size(); ++i) {
+    ASSERT_TRUE(a->results[i].verification.ok())
+        << a->results[i].verification.ToString();
+    ASSERT_TRUE(b->results[i].verification.ok())
+        << b->results[i].verification.ToString();
+    ASSERT_EQ(b->results[i].rows.size(), a->results[i].rows.size());
+    for (size_t r = 0; r < a->results[i].rows.size(); ++r) {
+      EXPECT_EQ(b->results[i].rows[r].key, a->results[i].rows[r].key);
+      EXPECT_EQ(b->results[i].rows[r].values, a->results[i].rows[r].values);
+    }
+    EXPECT_EQ(b->results[i].vo_bytes, a->results[i].vo_bytes);
+  }
+
+  // After a delta install, and again after a snapshot install, the next
+  // answer is built at — and labeled with — the replica's new version.
   Rng rng(21);
   ASSERT_TRUE(
       central_->InsertTuple("items", testutil::MakeTuple(schema_, 7000, &rng))
           .ok());
   ASSERT_TRUE(
       testutil::PublishDelta(central_.get(), "items", edge_.get()).ok());
-  EXPECT_GE(edge_->vo_cache_stats("items").invalidations, 1u);
-  EXPECT_EQ(edge_->vo_cache_stats("items").entries, 0u);
+  auto after_delta = client_->QueryBatched(&service, batch, /*now=*/10);
+  ASSERT_TRUE(after_delta.ok()) << after_delta.status().ToString();
+  EXPECT_EQ(after_delta->replica_version, edge_->TableVersion("items"));
+  EXPECT_GT(after_delta->replica_version, a->replica_version);
+  for (const auto& v : after_delta->results) {
+    EXPECT_TRUE(v.verification.ok()) << v.verification.ToString();
+  }
 
-  auto after = client_->QueryBatched(&service, batch, /*now=*/10);
-  ASSERT_TRUE(after.ok());
-  ASSERT_TRUE(after->results[0].verification.ok())
-      << after->results[0].verification.ToString();
-  EXPECT_EQ(after->stats.vo_cache_hits, 0u);
-  EXPECT_EQ(after->replica_version, edge_->TableVersion("items"));
-
-  // Snapshot install flushes too.
   ASSERT_TRUE(testutil::Publish(central_.get(), "items", edge_.get()).ok());
-  EXPECT_EQ(edge_->vo_cache_stats("items").entries, 0u);
+  auto after_snapshot = client_->QueryBatched(&service, batch, /*now=*/10);
+  ASSERT_TRUE(after_snapshot.ok()) << after_snapshot.status().ToString();
+  EXPECT_EQ(after_snapshot->replica_version, edge_->TableVersion("items"));
+  for (const auto& v : after_snapshot->results) {
+    EXPECT_TRUE(v.verification.ok()) << v.verification.ToString();
+  }
 }
 
 TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
