@@ -7,7 +7,8 @@
 // number on the host CI runs on.
 //
 // Plain executable (no google-benchmark dependency), like the fig*
-// harnesses. `--json` emits the CI artifact BENCH_crypto.json.
+// harnesses. `--json` emits BENCH_crypto.json, which CI uploads as an
+// ungated artifact.
 //
 //   ./build/bench/crypto_bench --json > BENCH_crypto.json
 #include <cstdio>
@@ -121,17 +122,6 @@ int main(int argc, char** argv) {
                   NsPerOp([&] {
                     bool hit = cache.Lookup(1, sigs[i++ % kSigs], &d);
                     (void)hit;
-                  })});
-  }
-  {
-    // CachingRecoverer end-to-end on an all-hot working set: the Recover
-    // call sites' steady-state cost under the Zipf workload.
-    CachingRecoverer caching(&recoverer, &cache, 1);
-    size_t i = 0;
-    ms.push_back({"caching_recover_hot",
-                  NsPerOp([&] {
-                    auto d = caching.Recover(sigs[i++ % kSigs]);
-                    (void)d;
                   })});
   }
 

@@ -13,9 +13,9 @@
 
 namespace vbtree {
 
-/// FNV-1a over a signature's full byte string; shared by the
-/// recovered-digest cache's shard tables and the client's signed-top
-/// memo. Never a trust boundary — equality always compares full bytes.
+/// FNV-1a over a signature's full byte string, hashing the
+/// recovered-digest cache's shard tables. Never a trust boundary —
+/// equality always compares full bytes.
 struct SignatureHash {
   size_t operator()(const Signature& s) const;
 };
@@ -118,31 +118,6 @@ class RecoveredDigestCache {
   Options options_;
   size_t per_shard_capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-};
-
-/// Recoverer decorator that consults a RecoveredDigestCache before
-/// falling through to the wrapped Recoverer, inserting on miss. Gives
-/// single-query call sites (Client::Query, the naive scheme, tools) the
-/// same cross-call memoization the BatchVerifier's pool phase uses,
-/// without changing their Verifier wiring.
-class CachingRecoverer : public Recoverer {
- public:
-  /// @param domain the signing-key version the signatures resolve under.
-  CachingRecoverer(Recoverer* inner, RecoveredDigestCache* cache,
-                   uint64_t domain, CryptoCounters* counters = nullptr)
-      : inner_(inner), cache_(cache), domain_(domain), counters_(counters) {}
-
-  Result<Digest> Recover(const Signature& sig) override;
-
-  size_t signature_length() const override {
-    return inner_->signature_length();
-  }
-
- private:
-  Recoverer* inner_;
-  RecoveredDigestCache* cache_;  ///< may be null (pass-through)
-  uint64_t domain_;
-  CryptoCounters* counters_;
 };
 
 }  // namespace vbtree

@@ -186,8 +186,8 @@ class CentralServer {
   /// Shards of `name`, ascending by range (introspection for tests).
   Result<size_t> ShardCount(const std::string& name) const;
 
-  /// Per-shard write-pipeline telemetry (TELEMETRY.md): the bench and
-  /// vbtree_cli stats surface, and what the auto-split policy consumes.
+  /// Per-shard write-pipeline telemetry (TELEMETRY.md): the vbtree_cli
+  /// stats surface, and what the auto-split policy consumes.
   struct DomainStats {
     std::string dist_name;
     int64_t lo = 0;

@@ -190,7 +190,6 @@ Client::GroupOutcome Client::VerifyBatchGroup(
   std::vector<BatchVerifier::Job> jobs;
   std::vector<size_t> job_index;  // jobs[j] authenticates results[job_index[j]]
   jobs.reserve(resp.responses.size());
-  const bool fast_path = verify_fast_path_;
   for (size_t i = 0; i < resp.responses.size(); ++i) {
     const QueryResponse& qr = resp.responses[i];
     Verified& v = out.results[i];
@@ -215,16 +214,7 @@ Client::GroupOutcome Client::VerifyBatchGroup(
       v.verification = rec_it->second.status();
       continue;
     }
-    BatchVerifier::Job job{&queries[i], &qr.rows, &qr.vo, nullptr, binding};
-    if (fast_path) {
-      // Batches at one watermark pay each distinct signed-top recovery
-      // once: byte-identical tops already recovered at this (shard,
-      // replica_version, key_version) come from the memo.
-      job.known_top = top_memo_.Lookup(schema_table, resp.replica_version, kv,
-                                       qr.vo.signed_top);
-      if (job.known_top != nullptr) out.top_memo_hits++;
-    }
-    jobs.push_back(job);
+    jobs.push_back(BatchVerifier::Job{&queries[i], &qr.rows, &qr.vo, binding});
     job_index.push_back(i);
   }
 
@@ -265,7 +255,7 @@ Client::GroupOutcome Client::VerifyBatchGroup(
       ctx.cache_domain = kv;
       ctx.pool_counters = &out.crypto;
       std::vector<BatchVerifier::Outcome> group_out =
-          bv->VerifyAll(ds, rec, group_jobs, fast_path ? &ctx : nullptr);
+          bv->VerifyAll(ds, rec, group_jobs, &ctx);
       for (size_t g = 0; g < group.size(); ++g) {
         outcomes[group[g]] = std::move(group_out[g]);
       }
@@ -275,12 +265,6 @@ Client::GroupOutcome Client::VerifyBatchGroup(
       v.verification = std::move(outcomes[j].verification);
       v.counters = outcomes[j].counters;
       out.crypto.Add(outcomes[j].counters);
-      if (fast_path && v.verification.ok() && outcomes[j].top_recovered) {
-        top_memo_.Insert(schema_table, resp.replica_version,
-                         resp.responses[job_index[j]].vo.key_version,
-                         resp.responses[job_index[j]].vo.signed_top,
-                         outcomes[j].top_digest);
-      }
     }
   }
 
@@ -539,7 +523,6 @@ Result<Client::VerifiedBatch> Client::RunBatch(EdgeServer* edge,
                               meta, slice_queries, resp, now, mode,
                               edge->name());
     out.crypto.Add(gv.crypto);
-    out.top_memo_hits += gv.top_memo_hits;
     out.deferred_queries += gv.deferred;
     out.stale_replica = out.stale_replica || gv.stale_replica;
     out.replica_version = std::min(out.replica_version, group_version);

@@ -17,7 +17,6 @@
 #include "edge/propagation/transport.h"
 #include "edge/query_service/batch_verifier.h"
 #include "edge/query_service/query_service.h"
-#include "edge/query_service/signed_top_memo.h"
 #include "query/trust.h"
 #include "vbtree/verifier.h"
 
@@ -67,12 +66,6 @@ class Client {
     digest_cache_ = std::move(cache);
   }
   RecoveredDigestCache* digest_cache() const { return digest_cache_.get(); }
-
-  /// Disables/enables the whole verification fast path (pooled
-  /// once-per-batch recovery, digest cache, signed-top memo). On by
-  /// default; the load driver's --no-verify-cache control and A/B tests
-  /// turn it off to measure the plain Recover-per-reference path.
-  void set_verify_fast_path(bool enabled) { verify_fast_path_ = enabled; }
 
   /// Attaches the background auditor that lazy trust modes defer
   /// verification to (required before issuing a TrustMode::kLazy or
@@ -166,8 +159,7 @@ class Client {
     /// per-component byte totals (aggregated over shard groups).
     BatchExecStats stats;
     size_t request_bytes = 0;
-    /// Sub-queries executed per shard: (shard_id, count). Feeds the load
-    /// driver's per-shard qps.
+    /// Sub-queries executed per shard: (shard_id, count).
     std::vector<std::pair<uint32_t, uint64_t>> shard_query_counts;
     /// Client-side crypto work for the whole batch: the pool-recovery
     /// phase (batch-level, not attributable to one query) plus every
@@ -175,14 +167,15 @@ class Client {
     /// count digest-cache traffic.
     CryptoCounters crypto;
     /// Wall time spent authenticating (key resolution, pool recovery,
-    /// per-query verification) — the bench's verify_cost_us_per_query
-    /// numerator.
+    /// per-query verification).
     uint64_t verify_us = 0;
     /// Wall time spent authenticating the partition map (signature
     /// recovery + layout checks; ~0 on the byte-identical cache hit).
     uint64_t map_verify_us = 0;
-    /// Signed-top recoveries skipped via the (shard, replica_version)
-    /// memo.
+    /// Always zero: the signed-top memo it counted is gone (every VO
+    /// pools its signed top, so the pool phase recovers it once per
+    /// batch). The field stays because the frozen benchmark/vbt_bench.cc
+    /// reads it.
     uint64_t top_memo_hits = 0;
     /// Queries delivered provisionally with a deferred-verification
     /// ticket (0 under kCertified).
@@ -306,7 +299,6 @@ class Client {
   struct GroupOutcome {
     std::vector<Verified> results;  ///< positional with the group queries
     CryptoCounters crypto;
-    uint64_t top_memo_hits = 0;
     uint64_t deferred = 0;  ///< queries handed to the auditor
     bool stale_replica = false;
     bool any_verified = false;
@@ -385,11 +377,6 @@ class Client {
   bool pinned_read_ = false;
   std::map<std::string, uint64_t> pinned_epochs_;
   std::shared_ptr<RecoveredDigestCache> digest_cache_;
-  bool verify_fast_path_ = true;
-  /// Per-shard signed-top memo: batches at one watermark pay the top
-  /// recovery once (shared implementation with the LazyAuditor's
-  /// cross-ticket memo).
-  SignedTopMemo top_memo_;
   /// Deferred-verification sink for lazy trust modes (not owned).
   LazyAuditor* auditor_ = nullptr;
 };

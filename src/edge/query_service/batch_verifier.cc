@@ -109,13 +109,8 @@ BatchVerifier::Outcome BatchVerifier::RunJob(
   if (ctx != nullptr && ctx->cache != nullptr) {
     verifier.set_digest_cache(ctx->cache, ctx->cache_domain);
   }
-  if (job.known_top != nullptr) verifier.set_known_top(job.known_top);
   if (job.binding != nullptr) verifier.set_top_binding(job.binding);
   out.verification = verifier.VerifySelect(*job.query, *job.rows, *job.vo);
-  if (const Digest* top = verifier.recovered_top(); top != nullptr) {
-    out.top_digest = *top;
-    out.top_recovered = true;
-  }
   return out;
 }
 

@@ -41,9 +41,8 @@ namespace vbtree {
 class BatchVerifier {
  public:
   struct Options {
-    /// 0 = verify inline on the calling thread (no extra threads) — the
-    /// mode load-driver client threads use so fleet thread counts stay
-    /// bounded.
+    /// 0 = verify inline on the calling thread (no extra threads), so
+    /// many client threads keep the process's thread count bounded.
     size_t num_workers = 4;
   };
 
@@ -60,10 +59,6 @@ class BatchVerifier {
     const SelectQuery* query = nullptr;
     const std::vector<ResultRow>* rows = nullptr;
     const VerificationObject* vo = nullptr;
-    /// Already-recovered digest of byte-identical signed-top bytes (the
-    /// client's per-(table, replica_version) memo); skips that one
-    /// recovery, never the digest comparison. May be null.
-    const Digest* known_top = nullptr;
     /// Lineage-shard root anchoring (Verifier::set_top_binding): non-null
     /// when the shard's digest domain is shared with split siblings and
     /// the VO anchors at the signed shard binding. Caller-owned; must
@@ -76,10 +71,6 @@ class BatchVerifier {
     /// Cost_h / Cost_k / Cost_s this job spent (per-job sink, so the
     /// parallel workers never contend on one counter block).
     CryptoCounters counters;
-    /// The recovered signed-top digest when this job resolved it itself
-    /// (top_recovered == true) — the caller's memo feed.
-    Digest top_digest;
-    bool top_recovered = false;
   };
 
   /// Batch-level context for the verification fast path. All pointers

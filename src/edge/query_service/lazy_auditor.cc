@@ -25,6 +25,7 @@ LazyAuditor::LazyAuditor(std::string db_name, KeyDirectory* keys,
       options_(options),
       paused_(options.start_paused),
       sample_rng_(options.sample_seed),
+      digest_cache_(std::make_shared<RecoveredDigestCache>()),
       verifier_(BatchVerifier::Options{options.verify_workers}),
       worker_([this] { WorkerLoop(); }) {}
 
@@ -121,11 +122,6 @@ size_t LazyAuditor::backlog() const {
   return queue_.size() + (busy_ ? 1 : 0);
 }
 
-std::vector<uint64_t> LazyAuditor::TakeLagSamplesUs() {
-  std::lock_guard lock(mu_);
-  return std::exchange(lag_samples_us_, {});
-}
-
 void LazyAuditor::WorkerLoop() {
   std::unique_lock lock(mu_);
   for (;;) {
@@ -155,7 +151,7 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
 
   // The deferred check is the certified check, verbatim: same
   // DigestSchema, same BatchVerifier, same once-per-pool recovery, same
-  // signed-top memo — only the schedule moved (DESIGN.md §9).
+  // kind of digest cache — only the schedule moved (DESIGN.md §9).
   DigestSchema ds(db_name_,
                   ticket.digest_table.empty() ? ticket.schema_table
                                               : ticket.digest_table,
@@ -166,7 +162,6 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
 
   std::vector<Alarm> new_alarms;
   CryptoCounters crypto;
-  uint64_t memo_hits = 0;
   uint64_t audited = 0;
 
   auto make_alarm = [&](size_t i, Status why) {
@@ -203,13 +198,8 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
       make_alarm(i, rec_it->second.status());
       continue;
     }
-    BatchVerifier::Job job{&ticket.queries[i], &qr.rows, &qr.vo, nullptr};
-    if (ticket.has_binding) job.binding = &binding;
-    job.known_top = top_memo_.Lookup(ticket.schema_table,
-                                     resp.replica_version, kv,
-                                     qr.vo.signed_top);
-    if (job.known_top != nullptr) memo_hits++;
-    jobs.push_back(job);
+    jobs.push_back(BatchVerifier::Job{&ticket.queries[i], &qr.rows, &qr.vo,
+                                      ticket.has_binding ? &binding : nullptr});
     job_index.push_back(i);
   }
 
@@ -247,9 +237,6 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
         audited++;
         if (!out.verification.ok()) {
           make_alarm(i, std::move(out.verification));
-        } else if (out.top_recovered) {
-          top_memo_.Insert(ticket.schema_table, resp.replica_version, kv,
-                           resp.responses[i].vo.signed_top, out.top_digest);
         }
       }
     }
@@ -267,9 +254,7 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
     stats_.audit_lag_us_total += lag_us;
     stats_.audit_lag_us_max = std::max(stats_.audit_lag_us_max, lag_us);
     stats_.audit_us_total += audit_us;
-    stats_.top_memo_hits += memo_hits;
     stats_.crypto.Add(crypto);
-    lag_samples_us_.push_back(lag_us);
     if (new_alarms.empty() && audited > 0) {
       // The whole ticket re-certified: the replica version it was labeled
       // with is now an *audited* fact, so the lazy monotonic-read

@@ -19,7 +19,6 @@
 #include "crypto/recovered_digest_cache.h"
 #include "edge/edge_server.h"
 #include "edge/query_service/batch_verifier.h"
-#include "edge/query_service/signed_top_memo.h"
 #include "query/trust.h"
 
 namespace vbtree {
@@ -75,8 +74,8 @@ struct AuditTicket {
 ///
 /// Thread safety: Submit and every accessor are safe from any thread
 /// (Clients are single-threaded but many Clients may share one auditor).
-/// The shared RecoveredDigestCache is internally sharded and thread-safe;
-/// the signed-top memo is auditor-thread-private.
+/// The RecoveredDigestCache is internally sharded and thread-safe, so it
+/// may be shared with the issuing Clients.
 class LazyAuditor {
  public:
   struct Options {
@@ -125,7 +124,6 @@ class LazyAuditor {
     uint64_t audit_lag_us_max = 0;
     /// Wall time spent inside deferred verification.
     uint64_t audit_us_total = 0;
-    uint64_t top_memo_hits = 0;
     /// Auditor-side crypto work; add to the client's for whole-system
     /// recover-call accounting (same work as certified, later schedule).
     CryptoCounters crypto;
@@ -139,10 +137,12 @@ class LazyAuditor {
   LazyAuditor(const LazyAuditor&) = delete;
   LazyAuditor& operator=(const LazyAuditor&) = delete;
 
-  /// Shares a cross-batch recovered-digest cache (typically the issuing
-  /// Client's): the cache is internally sharded and thread-safe, so the
-  /// auditor's deferred recoveries warm the same entries the synchronous
-  /// path reads.
+  /// Replaces the auditor's own cross-batch recovered-digest cache, e.g.
+  /// with the issuing Client's: the cache is internally sharded and
+  /// thread-safe, so the auditor's deferred recoveries then warm the same
+  /// entries the synchronous path reads. Like a Client, the auditor is
+  /// built with a cache of its own, so a deferred check costs what the
+  /// certified check would.
   void set_digest_cache(std::shared_ptr<RecoveredDigestCache> cache);
 
   /// Enqueues one ticket. kSampled draws the seeded RNG (in submit order)
@@ -189,10 +189,6 @@ class LazyAuditor {
   Stats stats() const;
   size_t backlog() const;
 
-  /// Removes and returns the per-ticket audit-lag samples (microseconds),
-  /// for percentile reporting in the bench.
-  std::vector<uint64_t> TakeLagSamplesUs();
-
  private:
   void WorkerLoop();
   void AuditOne(AuditTicket ticket);  // runs on the worker thread, no lock
@@ -214,12 +210,10 @@ class LazyAuditor {
   Stats stats_;
   std::vector<Alarm> alarms_;
   std::function<void(const Alarm&)> alarm_sink_;
-  std::vector<uint64_t> lag_samples_us_;
   std::map<std::string, uint64_t> audited_watermark_;
   std::shared_ptr<RecoveredDigestCache> digest_cache_;
 
   /// Auditor-thread-private (never touched under mu_).
-  SignedTopMemo top_memo_;
   BatchVerifier verifier_;
 
   std::thread worker_;

@@ -27,9 +27,9 @@ struct QueryServiceOptions {
   /// Modeled per-request blocking stall (microseconds), charged inside
   /// the worker before execution. Emulates the backend I/O an edge
   /// request blocks on in deployment (replica page reads from local
-  /// flash, NIC writeback) — the component a thread pool overlaps. The
-  /// load driver uses it so worker-scaling behavior is observable
-  /// independent of host core count; production configs leave it 0.
+  /// flash, NIC writeback) — the component a thread pool overlaps — so
+  /// worker-scaling behavior is observable independent of host core
+  /// count; production configs and the repository benchmark leave it 0.
   uint64_t modeled_io_stall_us = 0;
 };
 

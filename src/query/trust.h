@@ -2,7 +2,6 @@
 #define VBTREE_QUERY_TRUST_H_
 
 #include <cstdint>
-#include <string_view>
 
 namespace vbtree {
 
@@ -36,21 +35,6 @@ inline const char* TrustModeName(TrustMode m) {
       return "sampled";
   }
   return "unknown";
-}
-
-/// Parses a mode name (as spelled by TrustModeName); returns false on an
-/// unknown spelling. Used by the bench/CLI `--trust-mode` knob.
-inline bool ParseTrustMode(std::string_view name, TrustMode* out) {
-  if (name == "certified") {
-    *out = TrustMode::kCertified;
-  } else if (name == "lazy") {
-    *out = TrustMode::kLazy;
-  } else if (name == "sampled") {
-    *out = TrustMode::kSampled;
-  } else {
-    return false;
-  }
-  return true;
 }
 
 }  // namespace vbtree

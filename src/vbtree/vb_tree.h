@@ -249,8 +249,8 @@ class VBTree {
 
   /// Signer invocations this tree has made (attribute/tuple/node/binding
   /// signatures), monotone. The split-cost gate: after CloneRange the
-  /// child's count is O(height), and sign_calls_per_insert in the bench
-  /// derives from deltas of this counter.
+  /// child's count is O(height), and sign calls per insert derive from
+  /// deltas of this counter.
   uint64_t sign_calls() const {
     return sign_calls_.load(std::memory_order_relaxed);
   }

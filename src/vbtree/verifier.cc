@@ -95,7 +95,6 @@ Result<Digest> Verifier::ComputeNodeDigest(
 Status Verifier::VerifySelect(const SelectQuery& query,
                               const std::vector<ResultRow>& rows,
                               const VerificationObject& vo) {
-  top_valid_ = false;
   SelectQuery q = query;
   q.NormalizeProjection();
   const size_t m = ds_.schema().num_columns();
@@ -164,18 +163,9 @@ Status Verifier::VerifySelect(const SelectQuery& query,
         "returned tuples not all accounted for by the VO");
   }
 
-  // Recover s(D_N) and compare (Lemma 1 / Lemma 2 check). A caller-known
-  // top digest (memoized recovery of byte-identical signature bytes)
-  // skips the recovery but never the comparison.
-  Digest expected;
-  if (known_top_ != nullptr) {
-    expected = *known_top_;
-  } else {
-    VBT_ASSIGN_OR_RETURN(expected,
-                         ResolveSig(vo.signed_top, vo.signed_top_ref));
-    recovered_top_ = expected;
-    top_valid_ = true;
-  }
+  // Recover s(D_N) and compare (Lemma 1 / Lemma 2 check).
+  VBT_ASSIGN_OR_RETURN(Digest expected,
+                       ResolveSig(vo.signed_top, vo.signed_top_ref));
   if (binding_ != nullptr) {
     // Lineage shard: the VO's envelope top is the shard's root, and the
     // signed anchor covers the binding preimage — wrap the computed root

@@ -43,16 +43,14 @@ struct RecoveredSignature {
 /// client's dominant cost — is layered so each Cost_s is paid at most
 /// once per distinct signature:
 ///  1. a VO that arrived through a batch SignaturePool carries the pool
-///     index of every signature; supply the batch's once-recovered
-///     digests via set_recovered_pool and the verifier consumes them
-///     positionally instead of calling Recover per reference;
+///     index of every signature, the signed top included; supply the
+///     batch's once-recovered digests via set_recovered_pool and the
+///     verifier consumes them positionally instead of calling Recover
+///     per reference;
 ///  2. a cross-batch RecoveredDigestCache (set_digest_cache) memoizes
-///     byte-keyed recoveries for signatures not resolved by the pool;
-///  3. set_known_top short-circuits the final s(D_N) recovery when the
-///     caller already recovered the identical signature bytes (the
-///     client's per-(table, replica_version) top memo).
-/// All three are sound because p() is a deterministic function of the
-/// signature bytes under one public key; none of them bypasses the
+///     byte-keyed recoveries for signatures not resolved by the pool.
+/// Both are sound because p() is a deterministic function of the
+/// signature bytes under one public key; neither bypasses the
 /// digest-equation comparison itself.
 class Verifier {
  public:
@@ -84,10 +82,6 @@ class Verifier {
     cache_domain_ = domain;
   }
 
-  /// Short-circuits the final signed-top recovery with an
-  /// already-recovered digest for byte-identical signature bytes.
-  void set_known_top(const Digest* top) { known_top_ = top; }
-
   /// Lineage-shard root anchoring (DESIGN.md §10): the shard shares its
   /// digest-schema name with split siblings, so its VO anchors at the
   /// central server's binding signature over ShardBindingDigest(db,
@@ -104,13 +98,6 @@ class Verifier {
   /// signatures, wrong shard) can never authenticate. Caller-owned; must
   /// outlive VerifySelect.
   void set_top_binding(const TopBinding* binding) { binding_ = binding; }
-
-  /// After a VerifySelect that resolved the signed top itself (known_top
-  /// not used), the recovered digest — the caller's memo feed. Null
-  /// otherwise.
-  const Digest* recovered_top() const {
-    return top_valid_ ? &recovered_top_ : nullptr;
-  }
 
   /// Returns OK iff the result authenticates against the VO.
   Status VerifySelect(const SelectQuery& query,
@@ -135,10 +122,7 @@ class Verifier {
   std::span<const RecoveredSignature> pool_;
   RecoveredDigestCache* cache_ = nullptr;
   uint64_t cache_domain_ = 0;
-  const Digest* known_top_ = nullptr;
   const TopBinding* binding_ = nullptr;
-  Digest recovered_top_;
-  bool top_valid_ = false;
 };
 
 }  // namespace vbtree

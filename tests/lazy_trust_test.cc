@@ -176,6 +176,8 @@ TEST_F(LazyTrustTest, HonestRunDrainsToZeroWithNoAlarms) {
     }
     // Lazy mode pays no synchronous crypto on the issuing path.
     EXPECT_EQ(out->crypto.recovers, 0u);
+    EXPECT_EQ(out->crypto.attr_hashes, 0u);
+    EXPECT_EQ(out->crypto.combine_ops, 0u);
     lazy_outs.push_back(std::move(*out));
   }
 
@@ -212,6 +214,52 @@ TEST_F(LazyTrustTest, HonestRunDrainsToZeroWithNoAlarms) {
             edge_->TableVersion("items"));
   // The request wire told the edge this was lazy traffic.
   EXPECT_EQ(service.stats().lazy_queries, static_cast<uint64_t>(2 * kBatches));
+}
+
+TEST_F(LazyTrustTest, DeferredAuditsDoTheCertifiedCryptoWork) {
+  // Neither side is handed a cache: the lazy client's auditor and the
+  // certified client each verify through the one they are built with.
+  auto auditor = MakeAuditor();
+  Client certified(central_->db_name(), central_->key_directory());
+  certified.RegisterTable("items", schema_);
+  QueryService service(edge_.get(), QueryServiceOptions{2, 64});
+
+  // One seeded sequence with a small hot set, so later batches re-present
+  // signatures earlier ones already recovered.
+  Rng rng(2024);
+  CryptoCounters certified_crypto;
+  constexpr int kBatches = 24;
+  for (int i = 0; i < kBatches; ++i) {
+    const int64_t lo =
+        100 + 20 * static_cast<int64_t>(rng.Uniform(rng.OneIn(2) ? 3 : 24));
+    auto lazy = client_->QueryBatched(
+        &service, LazyBatch(TrustMode::kLazy, lo), /*now=*/10);
+    auto cert = certified.QueryBatched(
+        &service, LazyBatch(TrustMode::kCertified, lo), /*now=*/10);
+    ASSERT_TRUE(lazy.ok()) << lazy.status().ToString();
+    ASSERT_TRUE(cert.ok()) << cert.status().ToString();
+    for (const Client::Verified& v : cert->results) {
+      ASSERT_TRUE(v.verification.ok()) << v.verification.ToString();
+    }
+    certified_crypto.Add(cert->crypto);
+  }
+  auditor->Drain();
+
+  // Deferral moves the certified check's schedule, never its work.
+  const LazyAuditor::Stats stats = auditor->stats();
+  EXPECT_EQ(stats.alarms, 0u);
+  EXPECT_GT(certified_crypto.digest_cache_hits, 0u);
+  const CryptoCounters& audit = stats.crypto;
+  EXPECT_EQ(audit.recovers.load(), certified_crypto.recovers.load());
+  EXPECT_EQ(audit.digest_cache_hits.load(),
+            certified_crypto.digest_cache_hits.load());
+  EXPECT_EQ(audit.digest_cache_misses.load(),
+            certified_crypto.digest_cache_misses.load());
+  EXPECT_EQ(audit.digest_cache_evictions.load(),
+            certified_crypto.digest_cache_evictions.load());
+  EXPECT_EQ(audit.attr_hashes.load(), certified_crypto.attr_hashes.load());
+  EXPECT_EQ(audit.combine_ops.load(), certified_crypto.combine_ops.load());
+  EXPECT_EQ(audit.signs.load(), certified_crypto.signs.load());
 }
 
 TEST_F(LazyTrustTest, WatermarkAdvancesOnlyAfterAudit) {

@@ -659,6 +659,53 @@ TEST_F(QueryServiceTest, EveryAnswerWalksTheTreeAtTheCurrentVersion) {
   }
 }
 
+TEST_F(QueryServiceTest, EveryShardGroupWalksTheTreeWithALiveFetchMemo) {
+  // A 4-shard table beside the fixture's unsplit one. The overlapping
+  // staircase straddles the boundary at 250, so both groups it touches
+  // hold several overlapping slices.
+  ASSERT_TRUE(central_->CreateTable("orders", schema_, {250, 500, 750}).ok());
+  Rng rng(43);
+  ASSERT_TRUE(
+      central_->LoadTable("orders", testutil::MakeRows(schema_, 1000, &rng))
+          .ok());
+  for (const std::string& shard : central_->ShardNames()) {
+    if (shard.rfind("orders#", 0) != 0) continue;
+    ASSERT_TRUE(testutil::Publish(central_.get(), shard, edge_.get()).ok());
+  }
+  QueryBatch batch;
+  batch.table = "orders";
+  for (int i = 0; i < 8; ++i) {
+    SelectQuery q = RangeQuery(200 + 10 * i, 220 + 10 * i);
+    q.table = "orders";
+    batch.queries.push_back(std::move(q));
+  }
+
+  auto first = edge_->HandleQueryBatch(batch);
+  auto second = edge_->HandleQueryBatch(batch);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ASSERT_EQ(first->groups.size(), 2u);
+  ASSERT_EQ(second->groups.size(), first->groups.size());
+  for (size_t g = 0; g < first->groups.size(); ++g) {
+    const BatchExecStats& a = first->groups[g].resp.stats;
+    const BatchExecStats& b = second->groups[g].resp.stats;
+    EXPECT_GT(first->groups[g].resp.responses.size(), 1u) << "group " << g;
+    EXPECT_GT(a.tuple_fetches, 0u) << "group " << g;
+    EXPECT_GT(a.shared_fetch_hits, 0u) << "group " << g;
+    EXPECT_EQ(b.tuple_fetches, a.tuple_fetches) << "group " << g;
+    EXPECT_EQ(b.shared_fetch_hits, a.shared_fetch_hits) << "group " << g;
+  }
+
+  Client client(central_->db_name(), central_->key_directory());
+  client.RegisterTable("orders", schema_);
+  QueryService service(edge_.get(), QueryServiceOptions{2, 64});
+  auto out = client.QueryBatched(&service, batch, /*now=*/10);
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  for (const auto& v : out->results) {
+    EXPECT_TRUE(v.verification.ok()) << v.verification.ToString();
+  }
+}
+
 TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
   // Flip one byte inside the serialized v2 signature pool: the response
   // must either fail to parse or fail verification — never authenticate.

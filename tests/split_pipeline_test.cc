@@ -113,6 +113,55 @@ TEST(SplitPipelineTest, IncrementalSplitSignsSubLinearly) {
       << "incremental split re-signed O(rows), not O(boundary)";
 }
 
+// Signing work per insert, as an exact count: on a pinned layout one
+// seeded single-threaded insert sequence makes the same signer calls on
+// every run, so a batching regression or an extra re-sign on any insert
+// path moves this number, not just a timing.
+TEST(SplitPipelineTest, InsertSignCallsArePinned) {
+  constexpr size_t kInserts = 400;
+  constexpr int64_t kStride = 4;
+  const int64_t span = static_cast<int64_t>(kRows) * kStride;
+  struct Layout {
+    std::vector<int64_t> splits;
+    uint64_t sign_calls;
+  };
+  for (const Layout& layout :
+       {Layout{{}, 5966}, Layout{{span / 4, span / 2, 3 * span / 4}, 5948}}) {
+    SCOPED_TRACE(layout.splits.size() + 1);
+    auto central = MakeCentral();
+    ASSERT_NE(central, nullptr);
+    Schema schema = testutil::MakeWideSchema(5);
+    ASSERT_TRUE(central->CreateTable("t", schema, layout.splits).ok());
+    Rng rng(99);
+    ASSERT_TRUE(central
+                    ->LoadTable("t", testutil::MakeRows(schema, kRows, &rng,
+                                                        kStride))
+                    .ok());
+    auto sum_signs = [&] {
+      uint64_t total = 0;
+      auto stats = central->TableDomainStats("t");
+      EXPECT_TRUE(stats.ok());
+      if (stats.ok()) {
+        EXPECT_EQ(stats->size(), layout.splits.size() + 1);
+        for (const auto& d : *stats) total += d.sign_calls;
+      }
+      return total;
+    };
+    const uint64_t before = sum_signs();
+    // Keys off the loaded stride, so no insert collides with a loaded
+    // row; a key the sequence repeats is rejected as AlreadyExists.
+    for (size_t i = 0; i < kInserts; ++i) {
+      const int64_t key =
+          static_cast<int64_t>(rng.Uniform(kRows)) * kStride + 1 +
+          static_cast<int64_t>(i % (kStride - 1));
+      Status st = central->InsertTuple("t", KeyedTuple(schema, key));
+      ASSERT_TRUE(st.ok() || st.code() == StatusCode::kAlreadyExists)
+          << st.ToString();
+    }
+    EXPECT_EQ(sum_signs() - before, layout.sign_calls);
+  }
+}
+
 TEST(SplitPipelineTest, AutoSplitConvergesUnderSkewedWrites) {
   // Long windows + a low absolute floor keep the policy live on
   // sanitizer-slowed hosts where writers manage only tens of inserts

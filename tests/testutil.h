@@ -176,9 +176,9 @@ inline std::unique_ptr<TestDb> MakeTestDb(size_t n, size_t ncols = 10,
 
 /// One shared vocabulary for injecting failures: transport faults (what
 /// the network does to honest messages) and response tampering (what a
-/// lying edge does to honest data). The chaos and adversarial suites —
-/// and the bench's --fault-profile — all configure through this instead
-/// of scattering per-test knob pokes.
+/// lying edge does to honest data). The chaos and adversarial suites
+/// all configure through this instead of scattering per-test knob
+/// pokes.
 struct FaultPlan {
   /// Transport faults, applied to channels whose name contains
   /// `channel_substr` ("" = every channel). Ignored when `policy` is
@@ -199,9 +199,8 @@ inline void ApplyFaultPlan(const FaultPlan& plan,
 }
 
 /// The standard lossy-network profile (drop + duplicate + reorder +
-/// truncate): one set of numbers shared by propagation_test, the chaos
-/// suite and the bench's --fault-profile=lossy, so "converges under
-/// loss" always means the same loss.
+/// truncate): one set of numbers shared by propagation_test and the
+/// chaos suite, so "converges under loss" always means the same loss.
 inline FaultPolicy LossyPolicy() {
   FaultPolicy p;
   p.drop = 0.25;
