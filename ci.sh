@@ -90,8 +90,10 @@ elif [[ "$MODE" == "tsan" ]]; then
   cmake -B "$BUILD_DIR" -S . -DVBT_SANITIZE=thread \
         -DCMAKE_BUILD_TYPE=RelWithDebInfo
 else
+  # Same warning wall as the CI build-test matrix: a warning fails here
+  # before it fails there.
   BUILD_DIR=build
-  cmake -B "$BUILD_DIR" -S .
+  cmake -B "$BUILD_DIR" -S . -DVBT_WERROR=ON
 fi
 
 cmake --build "$BUILD_DIR" -j "$(nproc)"

@@ -252,11 +252,6 @@ class CentralServer {
   /// the number of mutations since load. Monotone per shard lineage.
   Result<uint64_t> VersionOf(const std::string& name) const;
 
-  /// Ops applied to shard `name` since load. Alias of VersionOf.
-  Result<uint64_t> TableVersion(const std::string& name) const {
-    return VersionOf(name);
-  }
-
   /// Names of all base tables / materialized views, in creation order.
   std::vector<std::string> TableNames() const;
   std::vector<std::string> ViewNames() const;

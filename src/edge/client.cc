@@ -4,6 +4,7 @@
 #include <chrono>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 
@@ -172,118 +173,45 @@ Result<Client::Verified> Client::Query(EdgeServer* edge,
   return out;
 }
 
-Client::GroupOutcome Client::VerifyBatchGroup(
-    const std::string& schema_table, const std::string& digest_table,
-    const Verifier::TopBinding* binding, const TableMeta& meta,
-    std::span<const SelectQuery> queries, QueryBatchResponse& resp,
-    uint64_t now, BatchVerifier* verifier) {
+Client::GroupOutcome Client::FillSlots(const QueryBatchResponse& resp) {
   GroupOutcome out;
   out.results.resize(resp.responses.size());
-
-  // --- key freshness (§3.4), then fan out authentication ---
-  // All VOs of a group normally carry one key version (single tree
-  // state); resolve per distinct version anyway so a malformed response
-  // cannot alias a stale key onto a fresh one.
-  DigestSchema ds(db_name_, digest_table, meta.schema, meta.algo,
-                  meta.modulus_bits);
-  std::map<uint32_t, Result<std::shared_ptr<Recoverer>>> recoverers;
-  std::vector<BatchVerifier::Job> jobs;
-  std::vector<size_t> job_index;  // jobs[j] authenticates results[job_index[j]]
-  jobs.reserve(resp.responses.size());
   for (size_t i = 0; i < resp.responses.size(); ++i) {
     const QueryResponse& qr = resp.responses[i];
     Verified& v = out.results[i];
     v.replica_version = resp.replica_version;
     v.result_bytes = qr.result_bytes;
     v.vo_bytes = qr.vo_bytes;
-    if (!qr.status.ok()) {
-      // The edge reported this query failed (bad predicate, execution
-      // error). There are no rows/VO to authenticate; surface the status
-      // as-is — like a transport error it is unauthenticated, but a lying
-      // edge gains nothing beyond withholding an answer.
-      v.verification = qr.status;
-      continue;
-    }
-    v.vo_digests = qr.vo.DigestCount();
-    uint32_t kv = qr.vo.key_version;
-    auto rec_it = recoverers.find(kv);
-    if (rec_it == recoverers.end()) {
-      rec_it = recoverers.emplace(kv, keys_->RecovererFor(kv, now)).first;
-    }
-    if (!rec_it->second.ok()) {
-      v.verification = rec_it->second.status();
-      continue;
-    }
-    jobs.push_back(BatchVerifier::Job{&queries[i], &qr.rows, &qr.vo, binding});
-    job_index.push_back(i);
+    // An edge-reported failure is surfaced as-is, unauthenticated, in
+    // every trust mode: there is no VO to check.
+    v.verification = qr.status;
+    if (qr.status.ok()) v.vo_digests = qr.vo.DigestCount();
   }
+  return out;
+}
 
-  std::vector<BatchVerifier::Outcome> outcomes;
-  if (!jobs.empty()) {
-    // The jobs all share a key version in the non-adversarial case; a
-    // mixed-version batch degrades to per-version groups. One VerifyAll
-    // call per group so the batch's signature pool is recovered once per
-    // group, not once per job.
-    BatchVerifier inline_verifier(BatchVerifier::Options{0});
-    BatchVerifier* bv = verifier != nullptr ? verifier : &inline_verifier;
-    std::map<uint32_t, std::vector<size_t>> by_version;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      by_version[resp.responses[job_index[j]].vo.key_version].push_back(j);
-    }
-    outcomes.resize(jobs.size());
-    // The whole-pool recovery phase runs for the dominant key version
-    // only: a (necessarily adversarial) mixed-version batch would
-    // otherwise re-recover all P pool entries once per version group.
-    // Minority groups still verify correctly through the cache /
-    // per-reference path.
-    uint32_t pool_kv = 0;
-    size_t pool_kv_jobs = 0;
-    for (const auto& [kv, group] : by_version) {
-      if (group.size() > pool_kv_jobs) {
-        pool_kv_jobs = group.size();
-        pool_kv = kv;
-      }
-    }
-    for (auto& [kv, group] : by_version) {
-      Recoverer* rec = recoverers.at(kv).ValueOrDie().get();
-      std::vector<BatchVerifier::Job> group_jobs;
-      group_jobs.reserve(group.size());
-      for (size_t j : group) group_jobs.push_back(jobs[j]);
-      BatchVerifier::PoolContext ctx;
-      ctx.pool = kv == pool_kv ? resp.sig_pool.get() : nullptr;
-      ctx.cache = digest_cache_.get();
-      ctx.cache_domain = kv;
-      ctx.pool_counters = &out.crypto;
-      std::vector<BatchVerifier::Outcome> group_out =
-          bv->VerifyAll(ds, rec, group_jobs, &ctx);
-      for (size_t g = 0; g < group.size(); ++g) {
-        outcomes[group[g]] = std::move(group_out[g]);
-      }
-    }
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      Verified& v = out.results[job_index[j]];
-      v.verification = std::move(outcomes[j].verification);
-      v.counters = outcomes[j].counters;
-      out.crypto.Add(outcomes[j].counters);
-    }
-  }
-
-  for (size_t i = 0; i < resp.responses.size(); ++i) {
-    out.results[i].rows = std::move(resp.responses[i].rows);
+Client::GroupOutcome Client::VerifyBatchGroup(const std::string& shard,
+                                              BatchVerifier::Group& group,
+                                              BatchVerifier* verifier) {
+  GroupOutcome out = FillSlots(group.resp);
+  BatchVerifier inline_verifier(BatchVerifier::Options{0});
+  std::vector<BatchVerifier::Outcome> outcomes =
+      (verifier != nullptr ? verifier : &inline_verifier)
+          ->VerifyGroup(group, *keys_, digest_cache_.get(), &out.crypto);
+  for (size_t i = 0; i < out.results.size(); ++i) {
+    Verified& v = out.results[i];
+    v.verification = std::move(outcomes[i].verification);
+    v.counters = outcomes[i].counters;
+    v.rows = std::move(group.resp.responses[i].rows);
+    out.any_verified = out.any_verified || v.verification.ok();
   }
 
   // --- replica freshness: one version served the whole group, and only
-  // authenticated answers may move the watermark (same rule as Query) ---
-  for (const Verified& v : out.results) {
-    if (v.verification.ok()) {
-      out.any_verified = true;
-      break;
-    }
-  }
+  // authenticated answers may move the watermark ---
   if (out.any_verified) {
-    uint64_t& watermark = freshness_[schema_table];
-    out.stale_replica = resp.replica_version < watermark;
-    watermark = std::max(watermark, resp.replica_version);
+    uint64_t& watermark = freshness_[shard];
+    out.stale_replica = group.resp.replica_version < watermark;
+    watermark = std::max(watermark, group.resp.replica_version);
     for (Verified& v : out.results) {
       if (v.verification.ok()) v.stale_replica = out.stale_replica;
     }
@@ -291,63 +219,36 @@ Client::GroupOutcome Client::VerifyBatchGroup(
   return out;
 }
 
-Client::GroupOutcome Client::DeferBatchGroup(
-    const std::string& schema_table, const std::string& digest_table,
-    const Verifier::TopBinding* binding, const TableMeta& meta,
-    std::span<const SelectQuery> queries, QueryBatchResponse& resp,
-    uint64_t now, TrustMode mode, const std::string& source) {
-  GroupOutcome out;
-  out.results.resize(resp.responses.size());
-
+Client::GroupOutcome Client::DeferBatchGroup(const std::string& shard,
+                                             BatchVerifier::Group group,
+                                             TrustMode mode,
+                                             const std::string& source) {
+  GroupOutcome out = FillSlots(group.resp);
   // Freshness under lazy trust: the replica version is an *unaudited*
   // claim until the ticket clears, so the staleness baseline is the
   // auditor's audited watermark, and this answer must not move any
   // watermark — a lying edge could otherwise poison the monotonic-read
   // signal through answers whose audit later fails.
-  const bool stale =
-      resp.replica_version < auditor_->audited_watermark(schema_table);
-  out.stale_replica = stale;
-
-  for (size_t i = 0; i < resp.responses.size(); ++i) {
-    const QueryResponse& qr = resp.responses[i];
+  out.stale_replica =
+      group.resp.replica_version < auditor_->audited_watermark(shard);
+  for (size_t i = 0; i < out.results.size(); ++i) {
     Verified& v = out.results[i];
-    v.replica_version = resp.replica_version;
-    v.result_bytes = qr.result_bytes;
-    v.vo_bytes = qr.vo_bytes;
-    if (!qr.status.ok()) {
-      // Edge-reported failure: surfaced unauthenticated exactly as in
-      // certified mode; there is nothing to audit.
-      v.verification = qr.status;
-      continue;
-    }
-    v.vo_digests = qr.vo.DigestCount();
+    if (!v.verification.ok()) continue;  // edge-reported: nothing to audit
     // The caller gets a copy; the ticket keeps the delivered originals
     // so the audit checks precisely what the application consumed.
-    v.rows = qr.rows;
+    v.rows = group.resp.responses[i].rows;
     v.pending_audit = true;
-    v.stale_replica = stale;
+    v.stale_replica = out.stale_replica;
     out.deferred++;
   }
-
-  AuditTicket ticket;
-  ticket.schema_table = schema_table;
-  if (digest_table != schema_table) ticket.digest_table = digest_table;
-  if (binding != nullptr) {
-    ticket.has_binding = true;
-    ticket.bind_lo = binding->lo;
-    ticket.bind_hi = binding->hi;
-  }
-  ticket.schema = meta.schema;
-  ticket.algo = meta.algo;
-  ticket.modulus_bits = meta.modulus_bits;
-  ticket.queries.assign(queries.begin(), queries.end());
-  ticket.resp = std::move(resp);
-  ticket.now = now;
-  ticket.source = source;
-  ticket.issued_at = std::chrono::steady_clock::now();
   // Blocks when the auditor's bounded queue is full: backpressure rides
   // the issuing path, the one place a slow auditor can slow anything.
-  auditor_->Submit(std::move(ticket), mode);
+  auditor_->Submit(AuditTicket{.id = 0,  // the auditor numbers tickets
+                               .schema_table = shard,
+                               .group = std::move(group),
+                               .source = source,
+                               .issued_at = std::chrono::steady_clock::now()},
+                   mode);
   return out;
 }
 
@@ -501,27 +402,26 @@ Result<Client::VerifiedBatch> Client::RunBatch(EdgeServer* edge,
   for (size_t g = 0; g < decoded.groups.size(); ++g) {
     const ShardScatter& planned = decoded.plan[g];
     const std::string shard = map.shard_name(planned.shard_index);
-    std::vector<SelectQuery> slice_queries;
-    slice_queries.reserve(planned.slices.size());
-    for (const ShardSlice& slice : planned.slices) {
-      slice_queries.push_back(slice.query);
-    }
-    QueryBatchResponse& resp = decoded.groups[g].resp;
-    out.stats.Accumulate(resp.stats);
-    // Captured before DeferBatchGroup moves the response into its ticket.
-    const uint64_t group_version = resp.replica_version;
     const ShardEntry& entry = map.shards[planned.shard_index];
-    const bool lineage = !entry.lineage.empty();
-    const std::string& digest_table = lineage ? entry.lineage : shard;
-    Verifier::TopBinding binding;
-    if (lineage) binding = Verifier::TopBinding{shard, entry.lo, entry.hi};
+    std::optional<Verifier::TopBinding> binding;
+    if (!entry.lineage.empty()) {
+      binding = Verifier::TopBinding{shard, entry.lo, entry.hi};
+    }
+    BatchVerifier::Group group{
+        DigestSchema(db_name_, binding ? entry.lineage : shard, meta.schema,
+                     meta.algo, meta.modulus_bits),
+        std::move(binding), {}, std::move(decoded.groups[g].resp), now};
+    group.queries.reserve(planned.slices.size());
+    for (const ShardSlice& slice : planned.slices) {
+      group.queries.push_back(slice.query);
+    }
+    out.stats.Accumulate(group.resp.stats);
+    // Captured before DeferBatchGroup moves the group into its ticket.
+    const uint64_t group_version = group.resp.replica_version;
     GroupOutcome gv =
         mode == TrustMode::kCertified
-            ? VerifyBatchGroup(shard, digest_table, lineage ? &binding : nullptr,
-                               meta, slice_queries, resp, now, verifier)
-            : DeferBatchGroup(shard, digest_table, lineage ? &binding : nullptr,
-                              meta, slice_queries, resp, now, mode,
-                              edge->name());
+            ? VerifyBatchGroup(shard, group, verifier)
+            : DeferBatchGroup(shard, std::move(group), mode, edge->name());
     out.crypto.Add(gv.crypto);
     out.deferred_queries += gv.deferred;
     out.stale_replica = out.stale_replica || gv.stale_replica;

@@ -4,9 +4,7 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "crypto/counting_recoverer.h"
@@ -205,13 +203,14 @@ class Client {
   /// responses that authenticated.
   ///
   /// `batch.trust_mode` selects the authentication schedule: kCertified
-  /// verifies synchronously (above); kLazy/kSampled return immediately
-  /// with `pending_audit` results and hand a deferred-verification
-  /// ticket — rows, VOs, signature-pool ref, replica version — to the
-  /// attached LazyAuditor (set_auditor), whose queue backpressures this
-  /// call when full. Map authentication and scatter-plan validation stay
-  /// synchronous in every mode (they gate response *shape*, not row
-  /// authenticity).
+  /// verifies each shard group synchronously through
+  /// BatchVerifier::VerifyGroup; kLazy/kSampled return immediately with
+  /// `pending_audit` results and move each group — schema, binding,
+  /// queries, response, `now` — into a ticket for the attached
+  /// LazyAuditor (set_auditor), which runs the same VerifyGroup later and
+  /// whose queue backpressures this call when full. Map authentication
+  /// and scatter-plan validation stay synchronous in every mode (they
+  /// gate response *shape*, not row authenticity).
   Result<VerifiedBatch> QueryBatched(QueryService* service,
                                      const QueryBatch& batch, uint64_t now,
                                      BatchVerifier* verifier = nullptr,
@@ -330,36 +329,29 @@ class Client {
   static void MergeVerifiedPart(Verified* merged, Verified part,
                                 bool first_part);
 
-  /// Verifies the per-query VOs of one coalesced response against
-  /// `queries` under `digest_table`'s digest schema (== schema_table
-  /// except for lineage shards); updates the schema_table watermark.
-  /// `binding`, when non-null, anchors every VO at the shard binding
-  /// signature (lineage shards; must outlive the call). Runs once per
-  /// shard group of a response.
-  GroupOutcome VerifyBatchGroup(const std::string& schema_table,
-                                const std::string& digest_table,
-                                const Verifier::TopBinding* binding,
-                                const TableMeta& meta,
-                                std::span<const SelectQuery> queries,
-                                QueryBatchResponse& resp, uint64_t now,
+  /// Fills the per-slot fields both trust schedules report: the replica
+  /// version, byte sizes, the edge-reported status and the digest count.
+  static GroupOutcome FillSlots(const QueryBatchResponse& resp);
+
+  /// Certified schedule: authenticates `group` (one shard group of a
+  /// response; `shard` names it) through BatchVerifier::VerifyGroup,
+  /// moves its rows into the results, and advances the shard's
+  /// monotonic-read watermark when any answer authenticated.
+  GroupOutcome VerifyBatchGroup(const std::string& shard,
+                                BatchVerifier::Group& group,
                                 BatchVerifier* verifier);
 
-  /// Lazy-trust counterpart of VerifyBatchGroup: delivers the group's
-  /// rows provisionally (`pending_audit`), flags staleness against the
-  /// auditor's *audited* watermark, and moves the response — rows, VOs,
-  /// signature-pool ref — into an AuditTicket submitted to `auditor_`
-  /// (blocking when its bounded queue is full). Never touches
-  /// `freshness_`: only audited answers define lazy-mode freshness.
-  /// `source` is the answering edge's name, stamped on the ticket so
-  /// alarms are attributable (and a suspect edge's queued tickets can be
-  /// expedited).
-  GroupOutcome DeferBatchGroup(const std::string& schema_table,
-                               const std::string& digest_table,
-                               const Verifier::TopBinding* binding,
-                               const TableMeta& meta,
-                               std::span<const SelectQuery> queries,
-                               QueryBatchResponse& resp, uint64_t now,
-                               TrustMode mode, const std::string& source);
+  /// Lazy schedule: delivers copies of the group's rows provisionally
+  /// (`pending_audit`), flags staleness against the auditor's *audited*
+  /// watermark, and moves the group into an AuditTicket for `auditor_`,
+  /// which runs the same VerifyGroup later (Submit blocks when its
+  /// bounded queue is full). Never touches `freshness_`: only audited
+  /// answers define lazy-mode freshness. `source` is the answering edge's
+  /// name, stamped on the ticket so alarms are attributable (and a
+  /// suspect edge's queued tickets can be expedited).
+  GroupOutcome DeferBatchGroup(const std::string& shard,
+                               BatchVerifier::Group group, TrustMode mode,
+                               const std::string& source);
 
   std::string db_name_;
   KeyDirectory* keys_;

@@ -8,6 +8,11 @@
 
 namespace vbtree {
 
+namespace {
+/// Max concurrent ship operations per flush round.
+constexpr size_t kShipConcurrency = 8;
+}  // namespace
+
 DistributionHub::DistributionHub(CentralServer* central, Transport* transport,
                                  PropagationOptions options)
     : central_(central), transport_(transport), options_(options) {
@@ -100,12 +105,11 @@ Status DistributionHub::FlushOnce() {
 
 std::vector<std::string> DistributionHub::DistributedNames() const {
   // Per-shard version streams: every shard of every table is its own
-  // snapshot/delta lineage (views remain whole-object snapshots).
+  // snapshot/delta lineage; materialized join views follow, always
+  // shipped as whole-object snapshots.
   std::vector<std::string> names = central_->ShardNames();
-  if (options_.distribute_views) {
-    std::vector<std::string> views = central_->ViewNames();
-    names.insert(names.end(), views.begin(), views.end());
-  }
+  std::vector<std::string> views = central_->ViewNames();
+  names.insert(names.end(), views.begin(), views.end());
   return names;
 }
 
@@ -302,7 +306,7 @@ Status DistributionHub::BuildAndRunPlan() {
 
   // Ship to all stale subscribers concurrently (bounded fan-out).
   std::vector<char> job_ok(jobs.size(), 0);
-  size_t workers = std::min(options_.ship_concurrency, jobs.size());
+  size_t workers = std::min(kShipConcurrency, jobs.size());
   if (workers <= 1) {
     for (size_t i = 0; i < jobs.size(); ++i) {
       Status s = RunJob(jobs[i]);

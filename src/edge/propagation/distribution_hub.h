@@ -40,12 +40,8 @@ struct PropagationOptions {
   /// Background propagator wakeup period.
   std::chrono::milliseconds flush_interval{5};
   ShipPolicy policy = ShipPolicy::kCostBased;
-  /// Also distribute materialized join views (always by snapshot).
-  bool distribute_views = true;
   /// Start the background propagator thread from the constructor.
   bool auto_start = true;
-  /// Max concurrent ship operations per flush round.
-  size_t ship_concurrency = 8;
   /// A subscriber that makes no apply progress across this many
   /// consecutive flush rounds (every ship to it failed — e.g. its
   /// channel black-holed) is marked lagging: it is dropped from ship

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <condition_variable>
 #include <mutex>
+#include <string>
 
 #include "crypto/counting_recoverer.h"
 
@@ -10,8 +11,8 @@ namespace vbtree {
 
 BatchVerifier::BatchVerifier(Options options) : options_(options) {
   if (options_.num_workers > 0) {
-    // Verification jobs are submitted from VerifyAll only, one call at a
-    // time, so a blocking queue sized to the pool is plenty.
+    // Verification jobs are submitted from VerifyGroup only, one call at
+    // a time, so a blocking queue sized to the pool is plenty.
     pool_ = std::make_unique<ThreadPool>(ThreadPoolOptions{
         options_.num_workers, /*queue_capacity=*/1024, OverflowPolicy::kBlock});
   }
@@ -49,8 +50,9 @@ void RecoverPoolRange(const SignaturePool& pool, Recoverer* recoverer,
 }  // namespace
 
 std::vector<RecoveredSignature> BatchVerifier::RecoverPool(
-    Recoverer* recoverer, const PoolContext& ctx) {
+    const PoolContext& ctx) {
   const SignaturePool& pool = *ctx.pool;
+  Recoverer* recoverer = ctx.recoverer;
   std::vector<RecoveredSignature> recovered(pool.size());
   if (pool.size() == 0) return recovered;
 
@@ -98,40 +100,95 @@ std::vector<RecoveredSignature> BatchVerifier::RecoverPool(
 }
 
 BatchVerifier::Outcome BatchVerifier::RunJob(
-    const DigestSchema& ds, Recoverer* recoverer, const Job& job,
-    std::span<const RecoveredSignature> recovered, const PoolContext* ctx) {
+    const Job& job, std::span<const RecoveredSignature> recovered,
+    const PoolContext& ctx) {
   Outcome out;
-  CountingRecoverer counting(recoverer, &out.counters);
-  DigestSchema job_ds = ds;  // per-job copy: counters sink is per-outcome
-  Verifier verifier(std::move(job_ds), &counting);
+  CountingRecoverer counting(ctx.recoverer, &out.counters);
+  // Per-job schema copy: the counters sink is per outcome.
+  Verifier verifier(DigestSchema(*ctx.schema), &counting);
   verifier.set_counters(&out.counters);
   verifier.set_recovered_pool(recovered);
-  if (ctx != nullptr && ctx->cache != nullptr) {
-    verifier.set_digest_cache(ctx->cache, ctx->cache_domain);
+  if (ctx.cache != nullptr) {
+    verifier.set_digest_cache(ctx.cache, ctx.cache_domain);
   }
-  if (job.binding != nullptr) verifier.set_top_binding(job.binding);
+  if (ctx.binding != nullptr) verifier.set_top_binding(ctx.binding);
   out.verification = verifier.VerifySelect(*job.query, *job.rows, *job.vo);
   return out;
 }
 
-std::vector<BatchVerifier::Outcome> BatchVerifier::VerifyAll(
-    const DigestSchema& ds, Recoverer* recoverer, std::span<const Job> jobs,
-    const PoolContext* ctx) {
-  std::vector<Outcome> outcomes(jobs.size());
+std::vector<BatchVerifier::Outcome> BatchVerifier::VerifyGroup(
+    const Group& group, const KeyDirectory& keys, RecoveredDigestCache* cache,
+    CryptoCounters* crypto) {
+  const std::vector<QueryResponse>& responses = group.resp.responses;
+  std::vector<Outcome> outcomes(responses.size());
+  std::vector<Job> jobs;
+  std::vector<size_t> slots;  // jobs[j] authenticates outcomes[slots[j]]
+  jobs.reserve(responses.size());
+  for (size_t i = 0; i < responses.size(); ++i) {
+    const QueryResponse& qr = responses[i];
+    if (!qr.status.ok()) {
+      // The edge reported this query failed (bad predicate, execution
+      // error): there are no rows or VO to authenticate. Like a transport
+      // error it is unauthenticated, but a lying edge gains nothing
+      // beyond withholding an answer.
+      outcomes[i].verification = qr.status;
+      continue;
+    }
+    jobs.push_back(Job{&group.queries[i], &qr.rows, &qr.vo});
+    slots.push_back(i);
+  }
   if (jobs.empty()) return outcomes;
 
-  // Phase 1: recover the batch signature pool once, fanned across the
+  // --- key freshness (§3.4), one version for the whole group ---
+  const uint32_t key_version = jobs.front().vo->key_version;
+  Result<std::shared_ptr<Recoverer>> recoverer =
+      keys.RecovererFor(key_version, group.now);
+  for (const Job& job : jobs) {
+    if (job.vo->key_version != key_version) {
+      recoverer = Status::VerificationFailure(
+          "shard group mixes signing-key versions " +
+          std::to_string(key_version) + " and " +
+          std::to_string(job.vo->key_version) +
+          " (one replica carries one key version)");
+      break;
+    }
+  }
+  if (!recoverer.ok()) {
+    for (size_t slot : slots) outcomes[slot].verification = recoverer.status();
+    return outcomes;
+  }
+
+  const PoolContext ctx{
+      .schema = &group.schema,
+      .recoverer = recoverer->get(),
+      .binding = group.binding ? &*group.binding : nullptr,
+      .pool = group.resp.sig_pool.get(),
+      .cache = cache,
+      .cache_domain = key_version,
+      .pool_counters = crypto,
+  };
+  std::vector<Outcome> verified = VerifyAll(jobs, ctx);
+  for (size_t j = 0; j < jobs.size(); ++j) {
+    crypto->Add(verified[j].counters);
+    outcomes[slots[j]] = std::move(verified[j]);
+  }
+  return outcomes;
+}
+
+std::vector<BatchVerifier::Outcome> BatchVerifier::VerifyAll(
+    std::span<const Job> jobs, const PoolContext& ctx) {
+  std::vector<Outcome> outcomes(jobs.size());
+
+  // Phase 1: recover the group's signature pool once, fanned across the
   // workers. Every pooled signature pays its Cost_s here exactly once no
   // matter how many VO references point at it.
   std::vector<RecoveredSignature> recovered;
-  if (ctx != nullptr && ctx->pool != nullptr) {
-    recovered = RecoverPool(recoverer, *ctx);
-  }
+  if (ctx.pool != nullptr) recovered = RecoverPool(ctx);
 
   // Phase 2: per-query verification consuming the recovered pool.
   if (pool_ == nullptr || jobs.size() == 1) {
     for (size_t i = 0; i < jobs.size(); ++i) {
-      outcomes[i] = RunJob(ds, recoverer, jobs[i], recovered, ctx);
+      outcomes[i] = RunJob(jobs[i], recovered, ctx);
     }
     return outcomes;
   }
@@ -141,14 +198,14 @@ std::vector<BatchVerifier::Outcome> BatchVerifier::VerifyAll(
   size_t remaining = jobs.size();
   for (size_t i = 0; i < jobs.size(); ++i) {
     Status submitted = pool_->Submit([&, i] {
-      Outcome out = RunJob(ds, recoverer, jobs[i], recovered, ctx);
+      Outcome out = RunJob(jobs[i], recovered, ctx);
       std::lock_guard lock(mu);
       outcomes[i] = std::move(out);
       if (--remaining == 0) done_cv.notify_one();
     });
     if (!submitted.ok()) {
       // Pool shut down mid-call: fall back to inline execution.
-      Outcome out = RunJob(ds, recoverer, jobs[i], recovered, ctx);
+      Outcome out = RunJob(jobs[i], recovered, ctx);
       std::lock_guard lock(mu);
       outcomes[i] = std::move(out);
       --remaining;

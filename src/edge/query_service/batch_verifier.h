@@ -2,13 +2,16 @@
 #define VBTREE_EDGE_QUERY_SERVICE_BATCH_VERIFIER_H_
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "crypto/counters.h"
+#include "crypto/key_manager.h"
 #include "crypto/recovered_digest_cache.h"
 #include "crypto/signer.h"
+#include "edge/edge_server.h"
 #include "query/predicate.h"
 #include "vbtree/digest_schema.h"
 #include "vbtree/verification_object.h"
@@ -16,28 +19,26 @@
 
 namespace vbtree {
 
-/// Client-side companion of the edge QueryService: fans the VO
-/// verifications of a coalesced batch response across a small worker
-/// pool. Verification is the client's dominant cost (modular
-/// exponentiations per returned attribute, §4.2), and per-query VOs are
-/// independent — embarrassingly parallel.
+/// The client's check (§3.3: recover the signed digests, recombine, compare)
+/// for one shard group of a batch response. The certified client runs it
+/// synchronously and the lazy auditor runs it later on the same Group, so
+/// both schedules do the same crypto work (DESIGN.md §6.1, §9).
 ///
-/// Fast path (DESIGN.md §6): when the batch arrived through a wire-v2
-/// SignaturePool, every distinct signature is recovered exactly once up
-/// front — the pool entries are partitioned across the workers, each
-/// resolved through the cross-batch RecoveredDigestCache first — and the
-/// per-query verifications then consume recovered digests by pool index
-/// instead of paying one Cost_s per signature *reference*.
+/// Verification is the client's dominant cost (modular exponentiations
+/// per returned attribute, §4.2), and per-query VOs are independent, so
+/// the work fans across a small worker pool. When the group arrived
+/// through a wire-v2 SignaturePool, every distinct signature is recovered
+/// exactly once up front — the pool entries are partitioned across the
+/// workers, each resolved through the cross-batch RecoveredDigestCache
+/// first — and the per-query verifications then consume recovered
+/// digests by pool index instead of paying one Cost_s per signature
+/// *reference*.
 ///
-/// The pool is owned by the verifier and reused across calls; VerifyAll
-/// itself blocks until every job is done, so the caller (a Client, which
-/// is single-threaded by contract) observes plain synchronous semantics
-/// and its monotonic-read watermark logic is untouched.
-///
-/// Thread-safety requirements on inputs: the Recoverer must tolerate
-/// concurrent Recover() calls (SimRecoverer and RsaRecoverer both do:
-/// per-call state only); jobs reference caller-owned data that must stay
-/// alive for the duration of VerifyAll.
+/// The pool is owned by the verifier and reused across calls; VerifyGroup
+/// blocks until every job is done, so the caller (a Client, which is
+/// single-threaded by contract) observes plain synchronous semantics.
+/// Recoverers must tolerate concurrent Recover() calls (SimRecoverer and
+/// RsaRecoverer both do: per-call state only).
 class BatchVerifier {
  public:
   struct Options {
@@ -53,64 +54,88 @@ class BatchVerifier {
   BatchVerifier(const BatchVerifier&) = delete;
   BatchVerifier& operator=(const BatchVerifier&) = delete;
 
-  /// One (query, rows, VO) triple to authenticate. `query` must be
-  /// projection-normalized, matching how the rows were deserialized.
-  struct Job {
-    const SelectQuery* query = nullptr;
-    const std::vector<ResultRow>* rows = nullptr;
-    const VerificationObject* vo = nullptr;
-    /// Lineage-shard root anchoring (Verifier::set_top_binding): non-null
-    /// when the shard's digest domain is shared with split siblings and
-    /// the VO anchors at the signed shard binding. Caller-owned; must
-    /// stay alive for the duration of VerifyAll.
-    const Verifier::TopBinding* binding = nullptr;
+  /// One shard group of a batch response and everything its check needs.
+  struct Group {
+    /// The shard's digest schema (its split ancestor's for a lineage
+    /// shard, DESIGN.md §10).
+    DigestSchema schema;
+    /// Lineage shards: every VO anchors at this signed shard binding
+    /// (Verifier::set_top_binding).
+    std::optional<Verifier::TopBinding> binding;
+    /// Projection-normalized queries, positional with resp.responses.
+    std::vector<SelectQuery> queries;
+    QueryBatchResponse resp;
+    /// Logical delivery time: key-version freshness is judged as of the
+    /// answer's delivery, so a rotation before a deferred audit cannot
+    /// retroactively fail an honest answer.
+    uint64_t now = 0;
   };
 
   struct Outcome {
     Status verification;
-    /// Cost_h / Cost_k / Cost_s this job spent (per-job sink, so the
-    /// parallel workers never contend on one counter block).
+    /// Cost_h / Cost_k / Cost_s this slot's verification spent (per-job
+    /// sink, so the parallel workers never contend on one counter block).
     CryptoCounters counters;
   };
 
-  /// Batch-level context for the verification fast path. All pointers
-  /// are caller-owned and optional; a default-constructed context (or
-  /// nullptr) reproduces the plain Recover-per-reference path.
+  /// Authenticates every slot of `group` and returns one outcome per
+  /// response, positionally. A slot the edge itself reported failed keeps
+  /// that status, unverified (there is no VO to check).
+  ///
+  /// One key version per group: a group is answered from one pinned
+  /// replica and a replica tree carries one key version (edges never
+  /// re-sign; a rotation reaches them as a new snapshot). The recoverer
+  /// is resolved once, at `group.now`; if the answered slots name more
+  /// than one key version, or the directory rejects the version, every
+  /// answered slot fails.
+  ///
+  /// `cache` (optional) is the cross-batch recovered-digest cache. The
+  /// pool phase's crypto work and every slot's are added to `crypto`.
+  std::vector<Outcome> VerifyGroup(const Group& group, const KeyDirectory& keys,
+                                   RecoveredDigestCache* cache,
+                                   CryptoCounters* crypto);
+
+  size_t num_workers() const { return pool_ ? pool_->num_threads() : 0; }
+
+ private:
+  /// One (query, rows, VO) triple to authenticate.
+  struct Job {
+    const SelectQuery* query = nullptr;
+    const std::vector<ResultRow>* rows = nullptr;
+    const VerificationObject* vo = nullptr;
+  };
+
+  /// What every job of one group shares.
   struct PoolContext {
-    /// The batch's signature pool (wire v2); its once-per-batch recovery
-    /// is fanned across the worker pool before any job runs.
+    const DigestSchema* schema = nullptr;
+    Recoverer* recoverer = nullptr;
+    const Verifier::TopBinding* binding = nullptr;
+    /// The group's signature pool (wire v2), or null; its once-per-group
+    /// recovery is fanned across the worker pool before any job runs.
     const SignaturePool* pool = nullptr;
-    /// Cross-batch recovered-digest LRU, consulted entry-by-entry during
+    /// Cross-batch recovered-digest LRU, consulted entry by entry during
     /// the pool phase and by jobs for non-pooled signatures.
     RecoveredDigestCache* cache = nullptr;
     /// Signing-key version the signatures resolve under (cache domain).
     uint64_t cache_domain = 0;
     /// Sink for the pool phase's Cost_s / cache telemetry. The phase's
-    /// work is batch-level (shared by every job), so it is accounted
-    /// here, not in any single job's counters. Bumped concurrently from
-    /// the workers — CryptoCounters is atomic precisely for this.
+    /// work is shared by every job, so it is accounted here, not in any
+    /// one job's counters. Bumped concurrently from the workers —
+    /// CryptoCounters is atomic precisely for this.
     CryptoCounters* pool_counters = nullptr;
   };
 
-  /// Verifies every job against `ds` (copied per job) using `recoverer`'s
-  /// public key; returns outcomes positionally. Blocks until all jobs are
-  /// done.
-  std::vector<Outcome> VerifyAll(const DigestSchema& ds, Recoverer* recoverer,
-                                 std::span<const Job> jobs,
-                                 const PoolContext* ctx = nullptr);
+  /// Verifies every job; returns outcomes positionally.
+  std::vector<Outcome> VerifyAll(std::span<const Job> jobs,
+                                 const PoolContext& ctx);
 
-  size_t num_workers() const { return pool_ ? pool_->num_threads() : 0; }
-
- private:
-  static Outcome RunJob(const DigestSchema& ds, Recoverer* recoverer,
-                        const Job& job,
+  static Outcome RunJob(const Job& job,
                         std::span<const RecoveredSignature> recovered,
-                        const PoolContext* ctx);
+                        const PoolContext& ctx);
 
   /// Recovers every pool entry exactly once (cache first), fanning
   /// contiguous chunks across the worker pool.
-  std::vector<RecoveredSignature> RecoverPool(Recoverer* recoverer,
-                                              const PoolContext& ctx);
+  std::vector<RecoveredSignature> RecoverPool(const PoolContext& ctx);
 
   Options options_;
   std::unique_ptr<ThreadPool> pool_;  ///< null in inline mode

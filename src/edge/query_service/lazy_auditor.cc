@@ -18,15 +18,13 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
 
 }  // namespace
 
-LazyAuditor::LazyAuditor(std::string db_name, KeyDirectory* keys,
-                         Options options)
-    : db_name_(std::move(db_name)),
-      keys_(keys),
+LazyAuditor::LazyAuditor(KeyDirectory* keys, Options options)
+    : keys_(keys),
       options_(options),
       paused_(options.start_paused),
       sample_rng_(options.sample_seed),
       digest_cache_(std::make_shared<RecoveredDigestCache>()),
-      verifier_(BatchVerifier::Options{options.verify_workers}),
+      verifier_(BatchVerifier::Options{0}),
       worker_([this] { WorkerLoop(); }) {}
 
 LazyAuditor::~LazyAuditor() { Shutdown(); }
@@ -45,7 +43,7 @@ bool LazyAuditor::Submit(AuditTicket ticket, TrustMode mode) {
   // surfaced *unauthenticated* at delivery (same as certified mode), so
   // it neither needs nor can get a deferred check.
   size_t auditable = 0;
-  for (const QueryResponse& qr : ticket.resp.responses) {
+  for (const QueryResponse& qr : ticket.group.resp.responses) {
     if (qr.status.ok()) auditable++;
   }
   stats_.tickets_enqueued++;
@@ -149,97 +147,33 @@ void LazyAuditor::AuditOne(AuditTicket ticket) {
     cache = digest_cache_;
   }
 
-  // The deferred check is the certified check, verbatim: same
-  // DigestSchema, same BatchVerifier, same once-per-pool recovery, same
-  // kind of digest cache — only the schedule moved (DESIGN.md §9).
-  DigestSchema ds(db_name_,
-                  ticket.digest_table.empty() ? ticket.schema_table
-                                              : ticket.digest_table,
-                  ticket.schema, ticket.algo, ticket.modulus_bits);
-  Verifier::TopBinding binding{ticket.schema_table, ticket.bind_lo,
-                               ticket.bind_hi};
-  QueryBatchResponse& resp = ticket.resp;
+  // The deferred check is the certified check: the same VerifyGroup
+  // over the same Group, with a digest cache of the same kind — only the
+  // schedule moved (DESIGN.md §9).
+  CryptoCounters crypto;
+  std::vector<BatchVerifier::Outcome> outcomes =
+      verifier_.VerifyGroup(ticket.group, *keys_, cache.get(), &crypto);
+  const QueryBatchResponse& resp = ticket.group.resp;
 
   std::vector<Alarm> new_alarms;
-  CryptoCounters crypto;
   uint64_t audited = 0;
-
-  auto make_alarm = [&](size_t i, Status why) {
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    // A slot the edge reported failed was delivered unauthenticated:
+    // there is nothing to audit.
+    if (!resp.responses[i].status.ok()) continue;
+    audited++;
+    if (outcomes[i].verification.ok()) continue;
     Alarm a;
     a.ticket_id = ticket.id;
     a.schema_table = ticket.schema_table;
     a.source = ticket.source;
-    a.query = ticket.queries[i];
+    a.query = ticket.group.queries[i];
     ByteWriter w;
     resp.responses[i].vo.Serialize(&w);
     a.vo_bytes = w.TakeBuffer();
     a.replica_version = resp.replica_version;
-    a.verification = std::move(why);
+    a.verification = std::move(outcomes[i].verification);
     new_alarms.push_back(std::move(a));
-  };
-
-  std::map<uint32_t, Result<std::shared_ptr<Recoverer>>> recoverers;
-  std::vector<BatchVerifier::Job> jobs;
-  std::vector<size_t> job_index;
-  jobs.reserve(resp.responses.size());
-  for (size_t i = 0; i < resp.responses.size(); ++i) {
-    const QueryResponse& qr = resp.responses[i];
-    if (!qr.status.ok()) continue;  // was delivered unauthenticated
-    const uint32_t kv = qr.vo.key_version;
-    auto rec_it = recoverers.find(kv);
-    if (rec_it == recoverers.end()) {
-      rec_it = recoverers.emplace(kv, keys_->RecovererFor(kv, ticket.now))
-                   .first;
-    }
-    if (!rec_it->second.ok()) {
-      // An answer signed under a key version the directory rejects (as
-      // of delivery time) would have failed the certified check too.
-      audited++;
-      make_alarm(i, rec_it->second.status());
-      continue;
-    }
-    jobs.push_back(BatchVerifier::Job{&ticket.queries[i], &qr.rows, &qr.vo,
-                                      ticket.has_binding ? &binding : nullptr});
-    job_index.push_back(i);
-  }
-
-  if (!jobs.empty()) {
-    // Per-key-version groups with the pool recovered once for the
-    // dominant version — mirrors Client::VerifyBatchGroup.
-    std::map<uint32_t, std::vector<size_t>> by_version;
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      by_version[resp.responses[job_index[j]].vo.key_version].push_back(j);
-    }
-    uint32_t pool_kv = 0;
-    size_t pool_kv_jobs = 0;
-    for (const auto& [kv, group] : by_version) {
-      if (group.size() > pool_kv_jobs) {
-        pool_kv_jobs = group.size();
-        pool_kv = kv;
-      }
-    }
-    for (auto& [kv, group] : by_version) {
-      Recoverer* rec = recoverers.at(kv).ValueOrDie().get();
-      std::vector<BatchVerifier::Job> group_jobs;
-      group_jobs.reserve(group.size());
-      for (size_t j : group) group_jobs.push_back(jobs[j]);
-      BatchVerifier::PoolContext ctx;
-      ctx.pool = kv == pool_kv ? resp.sig_pool.get() : nullptr;
-      ctx.cache = cache.get();
-      ctx.cache_domain = kv;
-      ctx.pool_counters = &crypto;
-      std::vector<BatchVerifier::Outcome> outcomes =
-          verifier_.VerifyAll(ds, rec, group_jobs, &ctx);
-      for (size_t g = 0; g < group.size(); ++g) {
-        const size_t i = job_index[group[g]];
-        BatchVerifier::Outcome& out = outcomes[g];
-        crypto.Add(out.counters);
-        audited++;
-        if (!out.verification.ok()) {
-          make_alarm(i, std::move(out.verification));
-        }
-      }
-    }
   }
 
   const uint64_t audit_us = MicrosSince(audit_start);

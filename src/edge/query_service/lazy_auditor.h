@@ -23,37 +23,17 @@
 
 namespace vbtree {
 
-/// One deferred-verification ticket: everything the auditor needs to
-/// re-run the certified check later, exactly as it would have run
-/// synchronously — the delivered rows, the VOs, the interned signature
-/// pool (shared_ptr ref retained), the replica version the answer was
-/// labeled with, and the logical key-freshness time of the original
-/// query. Built by Client::QueryBatched under TrustMode::kLazy/kSampled,
-/// one per coalesced batch group (per shard group when sharded).
+/// One deferred-verification ticket: the shard group the certified
+/// check would have verified at delivery (BatchVerifier::Group — digest
+/// schema, lineage binding, normalized queries, the response with its
+/// delivered rows, VOs and signature pool, and the delivery-time `now`),
+/// plus who answered it and when. Built by Client::QueryBatched under
+/// TrustMode::kLazy/kSampled, one per shard group of a response.
 struct AuditTicket {
   uint64_t id = 0;
-  /// Digest-schema domain and audited-watermark key (shard-qualified for
-  /// sharded tables; equals the client-facing table otherwise).
+  /// The shard's name: alarm label and audited-watermark key.
   std::string schema_table;
-  /// Lineage shards (DESIGN.md §10): the digest-schema table name when it
-  /// differs from schema_table — the shard inherited its split parent's
-  /// digest domain. Empty = use schema_table.
-  std::string digest_table;
-  /// When true, VOs anchor at the shard binding signature: verify with
-  /// Verifier::TopBinding{schema_table, bind_lo, bind_hi}.
-  bool has_binding = false;
-  int64_t bind_lo = 0;
-  int64_t bind_hi = 0;
-  Schema schema;
-  HashAlgorithm algo = HashAlgorithm::kSha256;
-  int modulus_bits = 128;
-  /// Normalized queries, positional with resp.responses.
-  std::vector<SelectQuery> queries;
-  QueryBatchResponse resp;
-  /// Logical time of the original query — key-version freshness is judged
-  /// as of answer delivery, not audit time, so a key rotation between the
-  /// two cannot retroactively alarm an honest answer.
-  uint64_t now = 0;
+  BatchVerifier::Group group;
   /// The edge server that produced this answer — alarm attribution, so
   /// an alarm sink (e.g. the EdgeDirector) can quarantine the offender
   /// and Expedite() can re-prioritize a suspect edge's pending tickets.
@@ -61,16 +41,16 @@ struct AuditTicket {
   std::chrono::steady_clock::time_point issued_at;
 };
 
-/// Client-side background auditor for lazy-trust reads: drains deferred
-/// tickets through the existing BatchVerifier and raises a tamper alarm —
-/// carrying the offending query and its serialized VO — when a deferred
-/// check fails. The detection window is the audit lag (docs/TRUST_MODEL.md).
+/// Client-side background auditor for lazy-trust reads: runs each
+/// deferred ticket's group through BatchVerifier::VerifyGroup — the check
+/// a certified read runs synchronously — and raises a tamper alarm,
+/// carrying the offending query and its serialized VO, for every slot
+/// that fails. The detection window is the audit lag (docs/TRUST_MODEL.md).
 ///
 /// The ticket queue is bounded: Submit blocks when it is full, so a slow
 /// auditor backpressures the issuing client instead of growing memory
-/// without bound. One background thread drains the queue; the verify
-/// fan-out inside a ticket is BatchVerifier's (Options::verify_workers,
-/// 0 = inline on the auditor thread).
+/// without bound. One background thread drains the queue and verifies
+/// each ticket inline.
 ///
 /// Thread safety: Submit and every accessor are safe from any thread
 /// (Clients are single-threaded but many Clients may share one auditor).
@@ -86,8 +66,6 @@ class LazyAuditor {
     /// audited subset is exactly reproducible from the seed.
     double sample_fraction = 1.0;
     uint64_t sample_seed = 0x5eed;
-    /// BatchVerifier workers for the per-ticket verify fan-out.
-    size_t verify_workers = 0;
     /// Tests: hold queued tickets until ResumeForTest().
     bool start_paused = false;
   };
@@ -129,9 +107,8 @@ class LazyAuditor {
     CryptoCounters crypto;
   };
 
-  LazyAuditor(std::string db_name, KeyDirectory* keys, Options options);
-  LazyAuditor(std::string db_name, KeyDirectory* keys)
-      : LazyAuditor(std::move(db_name), keys, Options()) {}
+  LazyAuditor(KeyDirectory* keys, Options options);
+  explicit LazyAuditor(KeyDirectory* keys) : LazyAuditor(keys, Options()) {}
   ~LazyAuditor();
 
   LazyAuditor(const LazyAuditor&) = delete;
@@ -193,7 +170,6 @@ class LazyAuditor {
   void WorkerLoop();
   void AuditOne(AuditTicket ticket);  // runs on the worker thread, no lock
 
-  const std::string db_name_;
   KeyDirectory* const keys_;
   const Options options_;
 

@@ -2,6 +2,7 @@
 #define VBTREE_VBTREE_VERIFICATION_OBJECT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <vector>
@@ -43,8 +44,17 @@ class SignaturePool {
   static Result<SignaturePool> Deserialize(ByteReader* r);
 
  private:
+  /// Index order: size, then bytes. Any strict order serves, since
+  /// entries are numbered in first-sight order.
+  struct SignatureLess {
+    bool operator()(const Signature& a, const Signature& b) const {
+      if (a.size() != b.size()) return a.size() < b.size();
+      return !a.empty() && std::memcmp(a.data(), b.data(), a.size()) < 0;
+    }
+  };
+
   std::vector<Signature> entries_;
-  std::map<Signature, uint32_t> index_;  // build side only
+  std::map<Signature, uint32_t, SignatureLess> index_;  // build side only
   size_t entry_bytes_ = 0;
 };
 

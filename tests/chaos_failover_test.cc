@@ -218,7 +218,7 @@ TEST_F(ChaosFailoverTest, LazyAlarmsQuarantineLiarAndExpediteItsTickets) {
 
   LazyAuditor::Options aopts;
   aopts.start_paused = true;
-  LazyAuditor auditor(central_->db_name(), central_->key_directory(), aopts);
+  LazyAuditor auditor(central_->key_directory(), aopts);
   client_->set_auditor(&auditor);
   director.WireAlarms(&auditor);
 

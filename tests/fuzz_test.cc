@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "edge/central_server.h"
 #include "edge/client.h"
 #include "edge/edge_server.h"
@@ -194,8 +196,10 @@ TEST_P(WireFuzz, MutatedQueryBatchesNeverCrashEdge) {
 }
 
 /// Authenticates a v3 response the way the client does — decode, map
-/// signature, then every shard group's VOs under that shard's digest
-/// schema — and returns each query's stitched rows, or the first failure.
+/// signature, then every shard group through BatchVerifier::VerifyGroup
+/// (pool recovery, digest cache, one key version per group) under that
+/// shard's digest schema — and returns each query's stitched rows, or the
+/// first failure.
 Result<std::vector<std::vector<ResultRow>>> Authenticate(
     ShardedFixture* fx, const std::vector<uint8_t>& bytes,
     const std::vector<SelectQuery>& queries) {
@@ -218,21 +222,30 @@ Result<std::vector<std::vector<ResultRow>>> Authenticate(
   }
   std::vector<std::vector<ResultRow>> rows(queries.size());
   BatchVerifier verifier(BatchVerifier::Options{0});
+  RecoveredDigestCache cache;
   for (size_t g = 0; g < decoded.groups.size(); ++g) {
     const ShardScatter& planned = decoded.plan[g];
-    QueryBatchResponse& resp = decoded.groups[g].resp;
-    DigestSchema ds(fx->central->db_name(),
-                    decoded.map.shard_name(planned.shard_index), fx->schema);
+    const ShardEntry& entry = decoded.map.shards[planned.shard_index];
+    const std::string shard = decoded.map.shard_name(planned.shard_index);
+    std::optional<Verifier::TopBinding> binding;
+    if (!entry.lineage.empty()) {
+      binding = Verifier::TopBinding{shard, entry.lo, entry.hi};
+    }
+    BatchVerifier::Group group{
+        DigestSchema(fx->central->db_name(),
+                     binding ? entry.lineage : shard, fx->schema),
+        binding, {}, std::move(decoded.groups[g].resp), /*now=*/10};
+    for (const ShardSlice& slice : planned.slices) {
+      group.queries.push_back(slice.query);
+    }
+    CryptoCounters crypto;
+    std::vector<BatchVerifier::Outcome> outcomes =
+        verifier.VerifyGroup(group, *keys, &cache, &crypto);
     for (size_t s = 0; s < planned.slices.size(); ++s) {
-      const QueryResponse& qr = resp.responses[s];
-      VBT_RETURN_NOT_OK(qr.status);
-      VBT_ASSIGN_OR_RETURN(std::shared_ptr<Recoverer> rec,
-                           keys->RecovererFor(qr.vo.key_version, 10));
-      BatchVerifier::Job job{&planned.slices[s].query, &qr.rows, &qr.vo};
-      auto outcome = verifier.VerifyAll(ds, rec.get(), {&job, 1});
-      VBT_RETURN_NOT_OK(outcome[0].verification);
+      VBT_RETURN_NOT_OK(outcomes[s].verification);
+      const std::vector<ResultRow>& got = group.resp.responses[s].rows;
       auto& dst = rows[planned.slices[s].query_index];
-      dst.insert(dst.end(), qr.rows.begin(), qr.rows.end());
+      dst.insert(dst.end(), got.begin(), got.end());
     }
   }
   return rows;

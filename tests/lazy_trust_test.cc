@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <thread>
 
 #include "edge/central_server.h"
@@ -120,8 +121,8 @@ class LazyTrustTest : public ::testing::Test {
   }
 
   std::unique_ptr<LazyAuditor> MakeAuditor(LazyAuditor::Options opts = {}) {
-    auto auditor = std::make_unique<LazyAuditor>(
-        central_->db_name(), central_->key_directory(), opts);
+    auto auditor =
+        std::make_unique<LazyAuditor>(central_->key_directory(), opts);
     client_->set_auditor(auditor.get());
     return auditor;
   }
@@ -411,8 +412,7 @@ TEST_F(LazyTrustTest, WrongShardSubstitutionAlarms) {
   }
   ASSERT_GT(edge.TableVersion(PartitionMap::ShardName("t", 1)), 0u);
 
-  LazyAuditor auditor(central->db_name(), central->key_directory(),
-                      LazyAuditor::Options{});
+  LazyAuditor auditor(central->key_directory());
 
   // Execute honestly against shard 1 (the range lies inside it, so the
   // scatter yields that one group), then present the response as if it
@@ -428,13 +428,14 @@ TEST_F(LazyTrustTest, WrongShardSubstitutionAlarms) {
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   ASSERT_TRUE(resp->responses[0].status.ok());
 
-  AuditTicket ticket;
-  ticket.schema_table = PartitionMap::ShardName("t", 2);  // the substitution
-  ticket.schema = schema;
-  ticket.queries = batch.queries;
-  ticket.resp = std::move(*resp);
-  ticket.now = 10;
-  ticket.issued_at = std::chrono::steady_clock::now();
+  const std::string substituted = PartitionMap::ShardName("t", 2);
+  AuditTicket ticket{
+      .id = 0,
+      .schema_table = substituted,
+      .group = {DigestSchema(central->db_name(), substituted, schema),
+                std::nullopt, batch.queries, std::move(*resp), /*now=*/10},
+      .source = "edge-sharded",
+      .issued_at = std::chrono::steady_clock::now()};
   ASSERT_TRUE(auditor.Submit(std::move(ticket), TrustMode::kLazy));
   auditor.Drain();
 
@@ -450,18 +451,99 @@ TEST_F(LazyTrustTest, WrongShardSubstitutionAlarms) {
   ASSERT_TRUE(resp2.ok()) << resp2.status().ToString();
   ASSERT_TRUE(resp2->responses[0].status.ok());
   ASSERT_GT(resp2->replica_version, 0u);
-  AuditTicket honest;
-  honest.schema_table = PartitionMap::ShardName("t", 1);
-  honest.schema = schema;
-  honest.queries = batch.queries;
-  honest.resp = std::move(*resp2);
-  honest.now = 10;
-  honest.issued_at = std::chrono::steady_clock::now();
+  const std::string true_shard = PartitionMap::ShardName("t", 1);
+  AuditTicket honest{
+      .id = 0,
+      .schema_table = true_shard,
+      .group = {DigestSchema(central->db_name(), true_shard, schema),
+                std::nullopt, batch.queries, std::move(*resp2), /*now=*/10},
+      .source = "edge-sharded",
+      .issued_at = std::chrono::steady_clock::now()};
   ASSERT_TRUE(auditor.Submit(std::move(honest), TrustMode::kLazy));
   auditor.Drain();
   EXPECT_EQ(auditor.stats().queries_audited, 2u);
   EXPECT_TRUE(auditor.TakeAlarms().empty());
   EXPECT_GT(auditor.audited_watermark(PartitionMap::ShardName("t", 1)), 0u);
+}
+
+TEST_F(LazyTrustTest, GroupMixingKeyVersionsFailsEverySlot) {
+  // A shard group is answered from one pinned replica, and a replica tree
+  // carries one signing-key version (edges never re-sign; a rotation
+  // reaches them as a new snapshot). A group whose answers name two key
+  // versions is a splice: every answer in it fails, in the certified
+  // check and in the deferred audit alike, whichever key is valid at
+  // delivery.
+  QueryBatch batch;
+  batch.table = "items";
+  for (int i = 0; i < 6; ++i) batch.queries.push_back(RangeQuery(100, 140));
+  for (SelectQuery& q : batch.queries) q.NormalizeProjection();
+  const SelectQuery& q = batch.queries[0];
+  auto before = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_TRUE(central_->RotateKey(100).ok());
+  ASSERT_TRUE(testutil::Publish(central_.get(), "items", edge_.get()).ok());
+  auto after = testutil::ExecuteSoleGroup(edge_.get(), batch);
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  ASSERT_EQ(before->responses[0].vo.key_version, 1u);
+  ASSERT_EQ(after->responses[0].vo.key_version, 2u);
+
+  // Two honest answers to one range, under one replica-version label.
+  auto make_group = [&](QueryResponse first, QueryResponse second,
+                        uint64_t now) {
+    QueryBatchResponse resp;
+    resp.replica_version = after->replica_version;
+    resp.responses.push_back(std::move(first));
+    resp.responses.push_back(std::move(second));
+    return BatchVerifier::Group{
+        DigestSchema(central_->db_name(), "items", schema_), std::nullopt,
+        {q, q}, std::move(resp), now};
+  };
+  const KeyDirectory& keys = *central_->key_directory();
+  BatchVerifier verifier(BatchVerifier::Options{0});
+  using Case = std::pair<size_t, uint64_t>;  // (answer index, delivery time)
+
+  // Key 1 alone is valid at 50, key 2 alone at 150.
+  for (auto [k, now] : {Case{0, 50}, Case{1, 150}}) {
+    const BatchVerifier::Group mixed =
+        make_group(std::move(before->responses[k]),
+                   std::move(after->responses[k]), now);
+    CryptoCounters crypto;
+    auto outcomes = verifier.VerifyGroup(mixed, keys, nullptr, &crypto);
+    ASSERT_EQ(outcomes.size(), 2u);
+    for (const BatchVerifier::Outcome& o : outcomes) {
+      EXPECT_TRUE(o.verification.IsVerificationFailure())
+          << "now=" << now << ": " << o.verification.ToString();
+    }
+  }
+  // Control: the same answers under one key version verify.
+  const BatchVerifier::Group single =
+      make_group(std::move(after->responses[4]),
+                 std::move(after->responses[5]), 150);
+  CryptoCounters crypto;
+  for (const auto& o : verifier.VerifyGroup(single, keys, nullptr, &crypto)) {
+    EXPECT_TRUE(o.verification.ok()) << o.verification.ToString();
+  }
+
+  auto auditor = MakeAuditor();
+  for (auto [k, now] : {Case{2, 50}, Case{3, 150}}) {
+    ASSERT_TRUE(auditor->Submit(
+        AuditTicket{.id = 0,
+                    .schema_table = "items",
+                    .group = make_group(std::move(before->responses[k]),
+                                        std::move(after->responses[k]), now),
+                    .source = edge_->name(),
+                    .issued_at = std::chrono::steady_clock::now()},
+        TrustMode::kLazy));
+  }
+  auditor->Drain();
+  std::vector<LazyAuditor::Alarm> alarms = auditor->TakeAlarms();
+  EXPECT_EQ(alarms.size(), 4u) << "both slots of both tickets must alarm";
+  for (const LazyAuditor::Alarm& a : alarms) {
+    EXPECT_TRUE(a.verification.IsVerificationFailure())
+        << a.verification.ToString();
+  }
+  EXPECT_EQ(auditor->stats().queries_audited, 4u);
+  EXPECT_EQ(auditor->audited_watermark("items"), 0u);
 }
 
 TEST_F(LazyTrustTest, SampledModeAuditsSeededRngExactFraction) {

@@ -361,7 +361,7 @@ TEST(OLCStressTest, FallbackRevalidatesSlotsInvalidatedBeforeLock) {
 
   int64_t churn_seq = 0;
   int pre_lock_calls = 0;
-  db.tree->SetBatchLabelHookForTest([&](int pass, bool pre_fallback_lock) {
+  db.tree->SetBatchLabelHookForTest([&](int, bool pre_fallback_lock) {
     if (!pre_fallback_lock) {
       // Keep the right slot stale on every pass so the batch is driven
       // all the way into the pessimistic fallback.

@@ -80,8 +80,8 @@ PartitionMap FourShardMap() {
   map.table = "orders";
   map.epoch = 1;
   map.key_version = 1;
-  map.shards = {ShardEntry{1, kMinKey, 249}, ShardEntry{2, 250, 499},
-                ShardEntry{3, 500, 749}, ShardEntry{4, 750, kMaxKey}};
+  map.shards = {ShardEntry{1, kMinKey, 249, ""}, ShardEntry{2, 250, 499, ""},
+                ShardEntry{3, 500, 749, ""}, ShardEntry{4, 750, kMaxKey, ""}};
   return map;
 }
 

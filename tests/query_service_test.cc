@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "common/thread_pool.h"
@@ -417,21 +418,18 @@ TEST_F(QueryServiceTest, BatchVerifierMatchesSerialVerifierOutcomes) {
   auto resp = testutil::ExecuteSoleGroup(edge_.get(), batch);
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
-  DigestSchema ds(central_->db_name(), "items", schema_,
-                  HashAlgorithm::kSha256, 128);
-  auto rec = central_->key_directory()->RecovererFor(1, /*now=*/10);
-  ASSERT_TRUE(rec.ok());
-
-  std::vector<BatchVerifier::Job> jobs;
-  for (size_t i = 0; i < batch.queries.size(); ++i) {
-    jobs.push_back(BatchVerifier::Job{&batch.queries[i],
-                                      &resp->responses[i].rows,
-                                      &resp->responses[i].vo});
-  }
+  const BatchVerifier::Group group{
+      DigestSchema(central_->db_name(), "items", schema_,
+                   HashAlgorithm::kSha256, 128),
+      std::nullopt, batch.queries, std::move(*resp), /*now=*/10};
   BatchVerifier parallel(BatchVerifier::Options{3});
   BatchVerifier inline_mode(BatchVerifier::Options{0});
-  auto par = parallel.VerifyAll(ds, rec->get(), jobs);
-  auto ser = inline_mode.VerifyAll(ds, rec->get(), jobs);
+  CryptoCounters par_crypto;
+  CryptoCounters ser_crypto;
+  auto par = parallel.VerifyGroup(group, *central_->key_directory(),
+                                  /*cache=*/nullptr, &par_crypto);
+  auto ser = inline_mode.VerifyGroup(group, *central_->key_directory(),
+                                     /*cache=*/nullptr, &ser_crypto);
   ASSERT_EQ(par.size(), ser.size());
   for (size_t i = 0; i < par.size(); ++i) {
     EXPECT_EQ(par[i].verification.code(), ser[i].verification.code());
@@ -510,18 +508,19 @@ TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
       << "pooled " << wire->stats.vo_wire_bytes << " vs raw "
       << wire->stats.total_vo_bytes;
 
-  // And the answers still authenticate.
-  DigestSchema ds(central_->db_name(), "items", schema_,
-                  HashAlgorithm::kSha256, 128);
-  auto rec = central_->key_directory()->RecovererFor(1, /*now=*/10);
-  ASSERT_TRUE(rec.ok());
+  // And the answers still authenticate, through the client's check.
+  const BatchVerifier::Group group{
+      DigestSchema(central_->db_name(), "items", schema_,
+                   HashAlgorithm::kSha256, 128),
+      std::nullopt, batch.queries, std::move(*wire), /*now=*/10};
   BatchVerifier inline_verifier(BatchVerifier::Options{0});
-  for (size_t i = 0; i < wire->responses.size(); ++i) {
-    BatchVerifier::Job job{&batch.queries[i], &wire->responses[i].rows,
-                           &wire->responses[i].vo};
-    auto outcome = inline_verifier.VerifyAll(ds, rec->get(), {&job, 1});
-    EXPECT_TRUE(outcome[0].verification.ok())
-        << "query " << i << ": " << outcome[0].verification.ToString();
+  CryptoCounters crypto;
+  auto outcomes = inline_verifier.VerifyGroup(
+      group, *central_->key_directory(), /*cache=*/nullptr, &crypto);
+  ASSERT_EQ(outcomes.size(), batch.queries.size());
+  for (size_t i = 0; i < outcomes.size(); ++i) {
+    EXPECT_TRUE(outcomes[i].verification.ok())
+        << "query " << i << ": " << outcomes[i].verification.ToString();
   }
 }
 
@@ -718,11 +717,6 @@ TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
   SerializeQueryBatchResponse(*resp, &w);
   std::vector<uint8_t> honest = w.TakeBuffer();
 
-  DigestSchema ds(central_->db_name(), "items", schema_,
-                  HashAlgorithm::kSha256, 128);
-  auto rec = central_->key_directory()->RecovererFor(1, /*now=*/10);
-  ASSERT_TRUE(rec.ok());
-
   // The pool begins right after the version byte (1), replica version
   // (8) and the response-count varint; its entries are the signature
   // bytes themselves, so flipping anywhere inside the first entries hits
@@ -740,13 +734,16 @@ TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
       rejected++;
       continue;
     }
-    bool any_failed = false;
+    const BatchVerifier::Group group{
+        DigestSchema(central_->db_name(), "items", schema_,
+                     HashAlgorithm::kSha256, 128),
+        std::nullopt, batch.queries, std::move(*out), /*now=*/10};
     BatchVerifier inline_verifier(BatchVerifier::Options{0});
-    for (size_t i = 0; i < out->responses.size(); ++i) {
-      BatchVerifier::Job job{&batch.queries[i], &out->responses[i].rows,
-                             &out->responses[i].vo};
-      auto outcome = inline_verifier.VerifyAll(ds, rec->get(), {&job, 1});
-      if (!outcome[0].verification.ok()) any_failed = true;
+    CryptoCounters crypto;
+    bool any_failed = false;
+    for (const auto& outcome : inline_verifier.VerifyGroup(
+             group, *central_->key_directory(), /*cache=*/nullptr, &crypto)) {
+      if (!outcome.verification.ok()) any_failed = true;
     }
     if (any_failed) rejected++;
   }
