@@ -20,9 +20,6 @@ namespace {
 double InsertThroughput(DigestUpdateStrategy strategy, size_t base_rows,
                         int inserts) {
   Schema schema = bench::PaperSchema(10);
-  InMemoryDiskManager disk;
-  BufferPool pool(1 << 15, &disk);
-  auto heap = TableHeap::Create(&pool, schema).MoveValueUnsafe();
   SimSigner signer(2024);
 
   VBTreeOptions opts;
@@ -33,22 +30,19 @@ double InsertThroughput(DigestUpdateStrategy strategy, size_t base_rows,
   VBTree tree(std::move(ds), opts, &signer);
 
   Rng rng(42);
-  std::vector<std::pair<Tuple, Rid>> pairs;
-  pairs.reserve(base_rows);
+  std::vector<Tuple> rows;
+  rows.reserve(base_rows);
   for (size_t i = 0; i < base_rows; ++i) {
-    Tuple t = bench::PaperTuple(schema, static_cast<int64_t>(i), &rng, 20);
-    auto rid = heap->Insert(t);
-    if (!rid.ok()) std::exit(1);
-    pairs.emplace_back(std::move(t), *rid);
+    rows.push_back(
+        bench::PaperTuple(schema, static_cast<int64_t>(i), &rng, 20));
   }
-  if (!tree.BulkLoad(pairs).ok()) std::exit(1);
+  if (!tree.BulkLoad(rows).ok()) std::exit(1);
 
   bench::Timer timer;
   for (int i = 0; i < inserts; ++i) {
     int64_t key = static_cast<int64_t>(base_rows) + i;
     Tuple t = bench::PaperTuple(schema, key, &rng, 20);
-    auto rid = heap->Insert(t);
-    if (!rid.ok() || !tree.Insert(t, *rid).ok()) std::exit(1);
+    if (!tree.Insert(t).ok()) std::exit(1);
   }
   double ms = timer.ElapsedMs();
   if (!tree.CheckDigestConsistency().ok()) {

@@ -23,8 +23,8 @@ int main() {
     auto table = bench::BuildBenchTable(n, 4, 20, /*with_naive=*/false);
     if (table == nullptr) return 1;
     std::vector<Tuple> rows;
-    for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
-      auto t = it.Get();
+    for (int64_t key : table->tree->AllKeys()) {
+      auto t = table->store->Get(key);
       if (!t.ok()) return 1;
       rows.push_back(std::move(*t));
     }

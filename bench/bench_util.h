@@ -11,10 +11,7 @@
 #include "common/random.h"
 #include "crypto/sim_signer.h"
 #include "naive/naive_scheme.h"
-#include "query/executor.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/table_heap.h"
+#include "storage/row_store.h"
 #include "vbtree/vb_tree.h"
 #include "vbtree/verifier.h"
 
@@ -60,13 +57,11 @@ inline Tuple PaperTuple(const Schema& schema, int64_t key, Rng* rng,
   return Tuple(std::move(values));
 }
 
-/// A measured-side table: heap + VB-tree + Naive store sharing one
+/// A measured-side table: rows + VB-tree + Naive store sharing one
 /// SimSigner, built once per benchmark binary.
 struct BenchTable {
   Schema schema;
-  std::unique_ptr<InMemoryDiskManager> disk;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<TableHeap> heap;
+  std::unique_ptr<RowStore> store;
   std::unique_ptr<SimSigner> signer;
   std::unique_ptr<SimRecoverer> recoverer;
   std::unique_ptr<VBTree> tree;
@@ -78,9 +73,7 @@ struct BenchTable {
                         tree->options().modulus_bits);
   }
 
-  VBTree::TupleFetcher Fetcher() const {
-    return Executor::FetcherFor(heap.get());
-  }
+  VBTree::TupleFetcher Fetcher() const { return store->Fetcher(); }
 };
 
 inline std::unique_ptr<BenchTable> BuildBenchTable(size_t n,
@@ -89,11 +82,7 @@ inline std::unique_ptr<BenchTable> BuildBenchTable(size_t n,
                                                    bool with_naive = true) {
   auto t = std::make_unique<BenchTable>();
   t->schema = PaperSchema(ncols);
-  t->disk = std::make_unique<InMemoryDiskManager>();
-  t->pool = std::make_unique<BufferPool>(1 << 16, t->disk.get());
-  auto heap = TableHeap::Create(t->pool.get(), t->schema);
-  if (!heap.ok()) return nullptr;
-  t->heap = heap.MoveValueUnsafe();
+  t->store = std::make_unique<RowStore>(t->schema);
   t->signer = std::make_unique<SimSigner>(2024);
   t->recoverer = std::make_unique<SimRecoverer>(t->signer->key_material());
 
@@ -110,17 +99,15 @@ inline std::unique_ptr<BenchTable> BuildBenchTable(size_t n,
   }
 
   Rng rng(42);
-  std::vector<std::pair<Tuple, Rid>> pairs;
-  pairs.reserve(n);
+  std::vector<Tuple> rows;
+  rows.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    Tuple tuple = PaperTuple(t->schema, static_cast<int64_t>(i), &rng,
-                             attr_len);
-    auto rid = t->heap->Insert(tuple);
-    if (!rid.ok()) return nullptr;
-    if (with_naive && !t->naive->Load(tuple).ok()) return nullptr;
-    pairs.emplace_back(std::move(tuple), rid.ValueOrDie());
+    rows.push_back(
+        PaperTuple(t->schema, static_cast<int64_t>(i), &rng, attr_len));
+    if (with_naive && !t->naive->Load(rows.back()).ok()) return nullptr;
   }
-  if (!t->tree->BulkLoad(pairs).ok()) return nullptr;
+  if (!t->tree->BulkLoad(rows).ok()) return nullptr;
+  for (const Tuple& row : rows) t->store->Put(row);
   t->num_tuples = n;
   return t;
 }

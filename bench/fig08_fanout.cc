@@ -1,7 +1,7 @@
 // Regenerates Figure 8: index tree fan-out versus key length, B-tree vs
 // VB-tree, for |B| = 4 KB, |P| = 4, |s| = 16 and |K| = 2^0 .. 2^8 bytes.
 #include "bench/bench_util.h"
-#include "btree/bplus_tree.h"
+#include "btree/btree_config.h"
 #include "costmodel/cost_model.h"
 
 using namespace vbtree;

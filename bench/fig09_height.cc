@@ -2,7 +2,7 @@
 // T_R = 1,000,000 tuples (formula 7), plus measured packed-tree heights
 // at the bench scale as a cross-check.
 #include "bench/bench_util.h"
-#include "btree/bplus_tree.h"
+#include "btree/btree_config.h"
 #include "costmodel/cost_model.h"
 
 using namespace vbtree;

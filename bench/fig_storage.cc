@@ -37,11 +37,8 @@ int main() {
 
   // Raw data bytes.
   size_t data_bytes = 0;
-  for (auto it = table->heap->Begin(); it.Valid(); it.Next()) {
-    auto t = it.Get();
-    if (!t.ok()) return 1;
-    data_bytes += t->SerializedSize();
-  }
+  table->store->Scan(
+      [&](int64_t, Slice row) { data_bytes += row.size(); });
   ByteWriter w;
   table->tree->SerializeTo(&w);
   size_t tree_bytes = w.size();

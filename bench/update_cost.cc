@@ -43,8 +43,8 @@ int main() {
   for (int i = 0; i < kInserts; ++i) {
     int64_t key = static_cast<int64_t>(n) + i;
     Tuple t = bench::PaperTuple(table->schema, key, &rng, 20);
-    auto rid = table->heap->Insert(t);
-    if (!rid.ok() || !table->tree->Insert(t, *rid).ok()) return 1;
+    if (!table->tree->Insert(t).ok()) return 1;
+    table->store->Put(t);
   }
   double insert_ms = insert_timer.ElapsedMs();
   std::printf(

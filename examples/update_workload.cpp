@@ -15,10 +15,7 @@
 #include "edge/client.h"
 #include "edge/edge_server.h"
 #include "edge/propagation/distribution_hub.h"
-#include "query/executor.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/table_heap.h"
+#include "storage/row_store.h"
 #include "txn/lock_manager.h"
 
 using namespace vbtree;
@@ -64,7 +61,7 @@ int main() {
     ByteReader r(Slice(w.buffer()));
     auto replica = VBTree::Deserialize(&r);  // no signing key
     if (!replica.ok()) return 1;
-    Status s = (*replica)->Insert(rows[0], Rid{0, 0});
+    Status s = (*replica)->Insert(rows[0]);
     std::printf("edge replica insert attempt: %s (updates must go to the\n"
                 "central server, which holds the private key)\n\n",
                 s.ToString().c_str());
@@ -74,24 +71,15 @@ int main() {
   // --- 2. Digest-lock protocol (§3.4) ----------------------------------
   // A standalone signed tree over the same rows, wired to its own lock
   // manager: operations carrying a txn id take the §3.4 digest locks.
-  InMemoryDiskManager disk;
-  BufferPool pool(256, &disk);
-  auto heap_or = TableHeap::Create(&pool, schema);
-  if (!heap_or.ok()) return 1;
-  std::unique_ptr<TableHeap> heap = heap_or.MoveValueUnsafe();
+  RowStore store(schema);
   SimSigner signer(/*key_seed=*/7);
   LockManager locks;
   auto locked_tree = std::make_unique<VBTree>(
       DigestSchema(central.db_name(), "events", schema,
                    options.tree_opts.hash_algo, options.tree_opts.modulus_bits),
       options.tree_opts, &signer, &locks);
-  std::vector<std::pair<Tuple, Rid>> pairs;
-  for (const Tuple& t : rows) {
-    auto rid = heap->Insert(t);
-    if (!rid.ok()) return 1;
-    pairs.emplace_back(t, *rid);
-  }
-  if (!locked_tree->BulkLoad(pairs).ok()) return 1;
+  if (!locked_tree->BulkLoad(rows).ok()) return 1;
+  for (const Tuple& t : rows) store.Put(t);
   // A delete transaction (txn 1) acquires X locks on [0, 63] and holds
   // them (2PL growing phase).
   auto removed = locked_tree->DeleteRange(0, 63, /*txn=*/1);
@@ -103,8 +91,7 @@ int main() {
   disjoint.table = "events";
   disjoint.range = KeyRange{2100, 2200};
   auto ok_query =
-      locked_tree->ExecuteSelect(disjoint, Executor::FetcherFor(heap.get()),
-                                 /*txn=*/2);
+      locked_tree->ExecuteSelect(disjoint, store.Fetcher(), /*txn=*/2);
   std::printf("txn2: disjoint query [2100,2200]   -> %s\n",
               ok_query.ok() ? "proceeds concurrently" : "blocked");
   locks.ReleaseAll(2);
@@ -113,8 +100,7 @@ int main() {
   overlapping.table = "events";
   overlapping.range = KeyRange{32, 96};
   auto blocked =
-      locked_tree->ExecuteSelect(overlapping,
-                                 Executor::FetcherFor(heap.get()), /*txn=*/3);
+      locked_tree->ExecuteSelect(overlapping, store.Fetcher(), /*txn=*/3);
   std::printf("txn3: overlapping query [32,96]    -> %s\n",
               blocked.ok() ? "proceeds (unexpected!)"
                            : blocked.status().ToString().c_str());
@@ -122,8 +108,7 @@ int main() {
 
   locks.ReleaseAll(1);  // txn1 commits
   auto after_commit =
-      locked_tree->ExecuteSelect(overlapping,
-                                 Executor::FetcherFor(heap.get()), /*txn=*/3);
+      locked_tree->ExecuteSelect(overlapping, store.Fetcher(), /*txn=*/3);
   std::printf("txn3 retry after txn1 commit       -> %s\n\n",
               after_commit.ok() ? "proceeds" : "blocked");
   locks.ReleaseAll(3);

@@ -10,17 +10,6 @@
 
 namespace vbtree {
 
-/// Row identifier inside a TableHeap: (page, slot).
-struct Rid {
-  int32_t page_id = -1;
-  uint16_t slot = 0;
-
-  bool valid() const { return page_id >= 0; }
-  bool operator==(const Rid& o) const {
-    return page_id == o.page_id && slot == o.slot;
-  }
-};
-
 /// A materialized row: one Value per schema column. Column 0 is the
 /// primary key.
 class Tuple {

@@ -82,13 +82,6 @@ Digest CommutativeHash::FromExponent(Uint128 exponent) const {
   return Digest::FromUint128(ModExp(g, exponent));
 }
 
-Digest CommutativeHash::CombineViaExponent(
-    std::span<const Digest> digests) const {
-  // Combine itself folds the exponent product now; kept as a named alias
-  // for call sites written against the strategy split.
-  return Combine(digests);
-}
-
 Uint128 CommutativeHash::UpdateExponent(Uint128 exponent, const Digest& d_old,
                                         const Digest& d_new) const {
   if (counters_ != nullptr) CryptoCounters::Tick(counters_->combine_ops);

@@ -67,17 +67,17 @@ class CommutativeHash {
   // Every combined digest is G^(d1 * d2 * ... * dm) mod 2^k. Because the
   // multiplicative order of G divides 2^(k-2), which divides 2^k, the
   // exponent product can itself be maintained mod 2^k. This enables two
-  // algebraically identical but much cheaper server-side strategies:
+  // algebraically identical but much cheaper forms of the chained fold:
   //
-  //  * CombineViaExponent: one multiplication per digest plus a single
+  //  * Combine itself: one multiplication per digest plus a single
   //    exponentiation, instead of one exponentiation per digest;
   //  * UpdateExponent: O(1) maintenance when one input digest changes —
   //    all combined digests are odd (powers of the odd G), hence
   //    invertible mod 2^k, so e' = e * d_old^{-1} * d_new.
   //
-  // The results are bit-identical to the chained Combine/Extend, which is
-  // what verifiers (and the paper's client procedure) use; property tests
-  // assert the equivalence.
+  // The results are bit-identical to a left fold of Extend from
+  // Identity(), the paper's client procedure; property tests assert the
+  // equivalence.
 
   /// The exponent factor a digest contributes (the all-zero digest maps
   /// to 1, mirroring Extend's totality fix).
@@ -91,9 +91,6 @@ class CommutativeHash {
 
   /// G^exponent — materializes a digest from a maintained exponent.
   Digest FromExponent(Uint128 exponent) const;
-
-  /// Equivalent to Combine(digests) via a single exponentiation.
-  Digest CombineViaExponent(std::span<const Digest> digests) const;
 
   /// O(1) exponent maintenance when one combined digest changes from
   /// `d_old` to `d_new`. Both must be odd (true for all tuple/node

@@ -3,16 +3,34 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <unordered_map>
-
-#include "query/executor.h"
 
 namespace vbtree {
 
 namespace {
 constexpr uint32_t kSnapshotMagic = 0x50414E53;  // "SNAP"
+/// Modulus size of the recoverable RSA signer (Options::use_rsa).
+constexpr int kRsaBits = 1024;
 constexpr int64_t kMinKey = std::numeric_limits<int64_t>::min();
 constexpr int64_t kMaxKey = std::numeric_limits<int64_t>::max();
+
+/// Every row of `store`, decoded (join-view materialization and
+/// maintenance read whole tables).
+Result<std::vector<Tuple>> DecodeRows(const RowStore& store) {
+  std::vector<Tuple> rows;
+  Status status = Status::OK();
+  store.Scan([&](int64_t, Slice bytes) {
+    if (!status.ok()) return;
+    ByteReader r(bytes);
+    Result<Tuple> row = Tuple::Deserialize(&r, store.schema());
+    if (row.ok()) {
+      rows.push_back(row.MoveValueUnsafe());
+    } else {
+      status = row.status();
+    }
+  });
+  VBT_RETURN_NOT_OK(status);
+  return rows;
+}
 
 /// Brief backoff for writers racing a shard split: the parent domain is
 /// sealed for the (short) window between seal and layout swap, during
@@ -29,10 +47,6 @@ void SplitRetryBackoff(int attempt) {
 
 Result<std::unique_ptr<CentralServer>> CentralServer::Create(Options options) {
   auto server = std::unique_ptr<CentralServer>(new CentralServer(options));
-  server->disk_ = std::make_unique<InMemoryDiskManager>();
-  server->pool_ = std::make_unique<BufferPool>(options.buffer_pool_pages,
-                                               server->disk_.get());
-
   std::unique_ptr<Signer> signer;
   std::shared_ptr<Recoverer> recoverer;
   VBT_RETURN_NOT_OK(
@@ -72,7 +86,7 @@ Status CentralServer::MakeSigner(uint64_t seed,
                                  std::shared_ptr<Recoverer>* recoverer) {
   if (options_.use_rsa) {
     VBT_ASSIGN_OR_RETURN(std::unique_ptr<RsaSigner> rsa,
-                         RsaSigner::Generate(options_.rsa_bits));
+                         RsaSigner::Generate(kRsaBits));
     VBT_ASSIGN_OR_RETURN(std::unique_ptr<RsaRecoverer> rec,
                          rsa->MakeRecoverer());
     *signer = std::move(rsa);
@@ -129,27 +143,22 @@ std::shared_ptr<CentralServer::ShardState> CentralServer::ShardForKey(
   return nullptr;  // unreachable for a well-formed layout
 }
 
-Result<std::shared_ptr<CentralServer::ShardState>>
-CentralServer::MakeShardShell(const std::string& table, const Schema& schema,
-                              uint32_t shard_id, int64_t lo, int64_t hi) {
-  auto shard = std::make_shared<ShardState>(options_.update_log_window);
+std::shared_ptr<CentralServer::ShardState> CentralServer::MakeShardShell(
+    const std::string& table, const Schema& schema, uint32_t shard_id,
+    int64_t lo, int64_t hi) {
+  auto shard = std::make_shared<ShardState>(schema, options_.update_log_window);
   shard->shard_id = shard_id;
   shard->lo = lo;
   shard->hi = hi;
   shard->dist_name = PartitionMap::ShardName(table, shard_id);
-  VBT_ASSIGN_OR_RETURN(shard->heap, TableHeap::Create(pool_.get(), schema));
-  shard->domain = std::make_unique<ShardWriteDomain>(
-      shard->dist_name,
-      ShardWriteDomain::Options{options_.domain_queue_capacity,
-                                options_.domain_recent_keys});
+  shard->domain = std::make_unique<ShardWriteDomain>(shard->dist_name);
   return shard;
 }
 
-Result<std::shared_ptr<CentralServer::ShardState>> CentralServer::MakeShard(
+std::shared_ptr<CentralServer::ShardState> CentralServer::MakeShard(
     const std::string& table, const Schema& schema, uint32_t shard_id,
     int64_t lo, int64_t hi) {
-  VBT_ASSIGN_OR_RETURN(auto shard,
-                       MakeShardShell(table, schema, shard_id, lo, hi));
+  auto shard = MakeShardShell(table, schema, shard_id, lo, hi);
   VBTreeOptions opts = options_.tree_opts;
   opts.key_version = key_version_;
   // The digest schema is qualified by the shard's distribution name:
@@ -221,9 +230,7 @@ Result<table_id_t> CentralServer::CreateTable(
   if (split_points.empty()) {
     // Sole shard id 0: plain table name, digest-compatible with the
     // pre-sharding layout.
-    VBT_ASSIGN_OR_RETURN(auto shard,
-                         MakeShard(name, schema, 0, kMinKey, kMaxKey));
-    state->shards.push_back(std::move(shard));
+    state->shards.push_back(MakeShard(name, schema, 0, kMinKey, kMaxKey));
   } else {
     int64_t lo = kMinKey;
     for (size_t i = 0; i <= split_points.size(); ++i) {
@@ -231,10 +238,8 @@ Result<table_id_t> CentralServer::CreateTable(
       // one key before it (the final shard pins INT64_MAX).
       const bool last = i == split_points.size();
       int64_t hi = last ? kMaxKey : split_points[i] - 1;
-      VBT_ASSIGN_OR_RETURN(
-          auto shard,
+      state->shards.push_back(
           MakeShard(name, schema, state->next_shard_id++, lo, hi));
-      state->shards.push_back(std::move(shard));
       if (!last) lo = split_points[i];
     }
   }
@@ -258,52 +263,46 @@ Status CentralServer::LoadTable(const std::string& name,
   // contiguous run to its owning shard.
   size_t r = 0;
   for (const auto& shard : state->shards) {
+    const size_t begin = r;
+    while (r < rows.size() && rows[r].key() <= shard->hi) ++r;
+    if (r == begin) continue;
+    const std::span<const Tuple> run(rows.data() + begin, r - begin);
     // Quiesce the shard's write pipeline: BulkLoad must observe the tree
     // at a clean op boundary (queued ops run after, and restart the log
     // lineage if they find versions they never logged).
     shard->domain->Pause();
-    std::vector<std::pair<Tuple, Rid>> pairs;
+    Status loaded;
     {
       std::unique_lock lock(shard->mu);
-      while (r < rows.size() && rows[r].key() <= shard->hi) {
-        Result<Rid> rid = shard->heap->Insert(rows[r]);
-        if (!rid.ok()) {
-          shard->domain->Resume();
-          return rid.status();
-        }
-        pairs.emplace_back(std::move(rows[r]), *rid);
-        ++r;
-      }
-      if (!pairs.empty()) {
-        Status loaded = shard->tree->BulkLoad(pairs);
-        if (!loaded.ok()) {
-          shard->domain->Resume();
-          return loaded;
-        }
+      loaded = shard->tree->BulkLoad(run);
+      if (loaded.ok()) {
+        for (const Tuple& row : run) shard->store.Put(row);
         shard->log.Reset(shard->tree->version());
       }
     }
     shard->domain->Resume();
+    VBT_RETURN_NOT_OK(loaded);
   }
   return Status::OK();
 }
 
 Status CentralServer::ApplyInsert(ShardState* shard, const Tuple& tuple) {
   std::unique_lock lock(shard->mu);
-  VBT_ASSIGN_OR_RETURN(Rid rid, shard->heap->Insert(tuple));
-
   // Record the op for delta propagation: entry signature material plus
   // the node signatures the insert produces (deterministic signers give
   // the same bytes the tree stores).
   UpdateOp op;
   op.kind = UpdateOp::Kind::kInsert;
   op.tuple = tuple;
-  op.rid = rid;
   VBT_ASSIGN_OR_RETURN(op.material, shard->tree->MakeEntryMaterial(tuple));
   shard->tree->set_signature_log(&op.resigned);
-  Status insert_status = shard->tree->Insert(tuple, rid);
+  Status insert_status = shard->tree->Insert(tuple);
   shard->tree->set_signature_log(nullptr);
   VBT_RETURN_NOT_OK(insert_status);
+  // Tree first, so an insert the tree rejects (a duplicate key) stores
+  // nothing. Every reader of a central store holds `mu`, which this op
+  // holds exclusively, so no one sees the key before its row.
+  shard->store.Put(tuple);
   if (shard->log.head_version() + 1 != shard->tree->version()) {
     // The tree was mutated out-of-band (direct tree() access by tests
     // or benches, or a bulk load that reset the lineage): those versions
@@ -426,16 +425,17 @@ Status CentralServer::MaintainViewsOnInsert(const std::string& name,
 }
 
 Status CentralServer::ApplyDelete(ShardState* shard, int64_t lo, int64_t hi,
-                                  size_t* removed) {
+                                  std::vector<int64_t>* removed) {
   std::unique_lock lock(shard->mu);
   UpdateOp op;
   op.kind = UpdateOp::Kind::kDeleteRange;
   op.lo = lo;
   op.hi = hi;
   shard->tree->set_signature_log(&op.resigned);
-  auto removed_or = shard->tree->DeleteRange(lo, hi);
+  Status deleted = shard->tree->DeleteRange(lo, hi).status();
   shard->tree->set_signature_log(nullptr);
-  VBT_ASSIGN_OR_RETURN(*removed, std::move(removed_or));
+  VBT_RETURN_NOT_OK(deleted);
+  *removed = shard->store.RemoveKeyRange(lo, hi);
   if (shard->log.head_version() + 1 != shard->tree->version()) {
     shard->log.Reset(shard->tree->version() - 1);
   }
@@ -446,127 +446,81 @@ Status CentralServer::ApplyDelete(ShardState* shard, int64_t lo, int64_t hi,
 Result<size_t> CentralServer::DeleteRange(const std::string& name, int64_t lo,
                                           int64_t hi) {
   if (lo > hi) return static_cast<size_t>(0);
-  size_t total_removed = 0;
+  // Held once the table turns out to feed a join view: maintenance is
+  // cross-table, so such deletes serialize (see the class comment).
+  std::unique_lock<std::mutex> views(views_mu_, std::defer_lock);
+  std::vector<int64_t> removed;
   for (int attempt = 0;; ++attempt) {
     // One clamped op per overlapping domain, then wait on all of them:
     // each shard's log records the delete at that shard's own sequence
     // point (the cross-shard fence; see the class comment).
     std::vector<std::future<Status>> waits;
-    std::vector<std::shared_ptr<size_t>> counts;
+    std::vector<std::shared_ptr<std::vector<int64_t>>> keys;
     bool sealed = false;
-    bool in_view = false;
     {
+      // maps_mu_ is held shared across the view-membership check AND the
+      // enqueue, as on the insert path.
       std::shared_lock maps(maps_mu_);
       auto it = tables_.find(name);
       if (it == tables_.end()) {
         return Status::NotFound("no table named " + name);
       }
-      TableState* state = it->second.get();
-      if (view_refs_.count(name) != 0) {
-        in_view = true;
-      } else {
-        std::shared_lock layout(state->layout_mu);
-        for (const auto& shard : state->shards) {
-          if (shard->lo > hi || shard->hi < lo) continue;
-          const int64_t clamped_lo = std::max(lo, shard->lo);
-          const int64_t clamped_hi = std::min(hi, shard->hi);
-          auto count = std::make_shared<size_t>(0);
-          auto queued = shard->domain->Enqueue(
-              [this, shard, clamped_lo, clamped_hi, count] {
-                return ApplyDelete(shard.get(), clamped_lo, clamped_hi,
-                                   count.get());
-              });
-          if (!queued.ok()) {
-            // Mid-split: finish what was queued (clamped deletes are
-            // idempotent — a retry removes nothing twice), then retry
-            // against the post-split layout.
-            sealed = true;
-            break;
-          }
-          waits.push_back(std::move(*queued));
-          counts.push_back(std::move(count));
-        }
+      if (!views.owns_lock() && view_refs_.count(name) != 0) {
+        maps.unlock();
+        views.lock();
+        continue;
       }
-    }
-    if (in_view) {
-      std::lock_guard<std::mutex> views(views_mu_);
-      VBT_ASSIGN_OR_RETURN(TableState * state, GetTableState(name));
-      VBT_ASSIGN_OR_RETURN(size_t removed,
-                           DeleteRangeSerial(state, name, lo, hi));
-      return total_removed + removed;
-    }
-    Status first_error = Status::OK();
-    for (auto& w : waits) {
-      Status s = w.get();
-      if (!s.ok() && first_error.ok()) first_error = s;
-    }
-    for (const auto& c : counts) total_removed += *c;
-    VBT_RETURN_NOT_OK(first_error);
-    if (!sealed) return total_removed;
-    SplitRetryBackoff(attempt);
-  }
-}
-
-Result<size_t> CentralServer::DeleteRangeSerial(TableState* state,
-                                                const std::string& name,
-                                                int64_t lo, int64_t hi) {
-  // Caller holds views_mu_: all DML on this table is serialized, so the
-  // doomed-key set collected before the deletes is exact.
-  size_t total_removed = 0;
-  std::set<int64_t> doomed;
-  for (int attempt = 0;; ++attempt) {
-    std::vector<std::future<Status>> waits;
-    std::vector<std::shared_ptr<size_t>> counts;
-    bool sealed = false;
-    {
-      std::shared_lock layout(state->layout_mu);
-      for (const auto& shard : state->shards) {
+      std::shared_lock layout(it->second->layout_mu);
+      for (const auto& shard : it->second->shards) {
         if (shard->lo > hi || shard->hi < lo) continue;
         const int64_t clamped_lo = std::max(lo, shard->lo);
         const int64_t clamped_hi = std::min(hi, shard->hi);
-        for (int64_t key :
-             shard->tree->KeysInRange(clamped_lo, clamped_hi)) {
-          doomed.insert(key);
-        }
-        auto count = std::make_shared<size_t>(0);
+        auto shard_keys = std::make_shared<std::vector<int64_t>>();
         auto queued = shard->domain->Enqueue(
-            [this, shard, clamped_lo, clamped_hi, count] {
+            [this, shard, clamped_lo, clamped_hi, shard_keys] {
               return ApplyDelete(shard.get(), clamped_lo, clamped_hi,
-                                 count.get());
+                                 shard_keys.get());
             });
         if (!queued.ok()) {
+          // Mid-split: finish what was queued (clamped deletes are
+          // idempotent — a retry removes nothing twice), then retry
+          // against the post-split layout.
           sealed = true;
           break;
         }
         waits.push_back(std::move(*queued));
-        counts.push_back(std::move(count));
+        keys.push_back(std::move(shard_keys));
       }
     }
+    // Safe to wait while holding views_mu_: domain ops never take it.
     Status first_error = Status::OK();
     for (auto& w : waits) {
       Status s = w.get();
       if (!s.ok() && first_error.ok()) first_error = s;
     }
-    for (const auto& c : counts) total_removed += *c;
+    for (const auto& k : keys) {
+      removed.insert(removed.end(), k->begin(), k->end());
+    }
     VBT_RETURN_NOT_OK(first_error);
     if (!sealed) break;
     SplitRetryBackoff(attempt);
   }
 
-  for (auto& [view_name, vs] : views_) {
-    const JoinSpec& spec = vs->view->spec();
-    std::unique_lock vlock(vs->mu);
-    for (int64_t key : doomed) {
-      if (spec.left_table == name) {
-        VBT_RETURN_NOT_OK(vs->view->RemoveByLeftKey(key).status());
-      }
-      if (spec.right_table == name) {
-        VBT_RETURN_NOT_OK(vs->view->RemoveByRightKey(key).status());
+  if (views.owns_lock()) {
+    for (auto& [view_name, vs] : views_) {
+      const JoinSpec& spec = vs->view->spec();
+      std::unique_lock vlock(vs->mu);
+      for (int64_t key : removed) {
+        if (spec.left_table == name) {
+          VBT_RETURN_NOT_OK(vs->view->RemoveByLeftKey(key).status());
+        }
+        if (spec.right_table == name) {
+          VBT_RETURN_NOT_OK(vs->view->RemoveByRightKey(key).status());
+        }
       }
     }
   }
-  // Heap rows become unreachable; a compaction pass could reclaim them.
-  return total_removed;
+  return removed.size();
 }
 
 Status CentralServer::SplitShard(const std::string& name, int64_t split_key) {
@@ -586,38 +540,18 @@ Status CentralServer::SplitShard(const std::string& name, int64_t split_key) {
 
   // Fresh ids for both halves: pre-split signatures can never alias a
   // current shard. Shells only — the trees come from CloneRange.
-  VBT_ASSIGN_OR_RETURN(auto left,
-                       MakeShardShell(name, state->schema,
-                                      state->next_shard_id++, parent->lo,
-                                      split_key - 1));
-  VBT_ASSIGN_OR_RETURN(auto right,
-                       MakeShardShell(name, state->schema,
-                                      state->next_shard_id++, split_key,
-                                      parent->hi));
+  auto left = MakeShardShell(name, state->schema, state->next_shard_id++,
+                             parent->lo, split_key - 1);
+  auto right = MakeShardShell(name, state->schema, state->next_shard_id++,
+                              split_key, parent->hi);
 
-  // 2. Copy the parent's live rows (heap rows still indexed by the tree;
-  // the heap may hold tombstoned leftovers from range deletes) into the
-  // children's heaps, recording the Rid remap the tree surgery needs.
-  // Digest preimages never mention Rids, so remapping is signature-free.
   {
     std::shared_lock lock(parent->mu);  // exports may still be reading
-    std::unordered_map<uint64_t, Rid> remap;
-    auto pack = [](const Rid& r) {
-      return (static_cast<uint64_t>(static_cast<uint32_t>(r.page_id)) << 16) |
-             r.slot;
-    };
-    for (TableHeap::Iterator it = parent->heap->Begin(); it.Valid();
-         it.Next()) {
-      VBT_ASSIGN_OR_RETURN(Tuple t, it.Get());
-      if (parent->tree->KeysInRange(t.key(), t.key()).empty()) continue;
-      ShardState* half = t.key() < split_key ? left.get() : right.get();
-      VBT_ASSIGN_OR_RETURN(Rid rid, half->heap->Insert(t));
-      remap[pack(it.rid())] = rid;
-    }
-    auto remap_fn = [&remap, &pack](const Rid& r) {
-      auto found = remap.find(pack(r));
-      return found == remap.end() ? r : found->second;
-    };
+    // 2. Hand each child the parent's rows in its range. Leaf entries
+    // address rows by key, so nothing in the trees changes with them.
+    parent->store.Scan([&](int64_t key, Slice row) {
+      (key < split_key ? left : right)->store.PutEncoded(key, row);
+    });
 
     // 3. O(boundary) tree surgery: each child deep-copies the parent's
     // already-signed nodes, trims to its range, and re-signs only the
@@ -626,12 +560,10 @@ Status CentralServer::SplitShard(const std::string& name, int64_t split_key) {
     // the parent's digest domain (lineage; see SignTableMap).
     VBT_ASSIGN_OR_RETURN(
         left->tree,
-        parent->tree->CloneRange(left->dist_name, left->lo, left->hi,
-                                 remap_fn));
+        parent->tree->CloneRange(left->dist_name, left->lo, left->hi));
     VBT_ASSIGN_OR_RETURN(
         right->tree,
-        parent->tree->CloneRange(right->dist_name, right->lo, right->hi,
-                                 remap_fn));
+        parent->tree->CloneRange(right->dist_name, right->lo, right->hi));
   }
   left->log.Reset(left->tree->version());
   right->log.Reset(right->tree->version());
@@ -677,18 +609,12 @@ Result<std::vector<Tuple>> CentralServer::MatchingRows(
     std::shared_lock layout(state->layout_mu);
     shards = state->shards;
   }
-  // Only rows still indexed by a shard's VB-tree count (heaps may hold
-  // tombstoned leftovers from deletes).
   std::vector<Tuple> out;
   for (const auto& shard : shards) {
     std::shared_lock lock(shard->mu);
-    for (TableHeap::Iterator it = shard->heap->Begin(); it.Valid();
-         it.Next()) {
-      VBT_ASSIGN_OR_RETURN(Tuple t, it.Get());
-      if (t.value(col).Compare(value) == 0 &&
-          !shard->tree->KeysInRange(t.key(), t.key()).empty()) {
-        out.push_back(std::move(t));
-      }
+    VBT_ASSIGN_OR_RETURN(std::vector<Tuple> rows, DecodeRows(shard->store));
+    for (Tuple& t : rows) {
+      if (t.value(col).Compare(value) == 0) out.push_back(std::move(t));
     }
   }
   return out;
@@ -739,11 +665,8 @@ Status CentralServer::CreateJoinView(const JoinSpec& spec) {
     std::shared_lock layout(table->layout_mu);
     for (const auto& shard : table->shards) {
       std::shared_lock lock(shard->mu);
-      for (TableHeap::Iterator it = shard->heap->Begin(); it.Valid();
-           it.Next()) {
-        VBT_ASSIGN_OR_RETURN(Tuple t, it.Get());
-        rows.push_back(std::move(t));
-      }
+      VBT_ASSIGN_OR_RETURN(std::vector<Tuple> shard_rows, DecodeRows(shard->store));
+      for (Tuple& t : shard_rows) rows.push_back(std::move(t));
     }
     return rows;
   };
@@ -757,7 +680,7 @@ Status CentralServer::CreateJoinView(const JoinSpec& spec) {
         std::unique_ptr<JoinView> view,
         JoinView::Materialize(spec, options_.db_name, left->schema,
                               right->schema, left_rows, right_rows,
-                              pool_.get(), current_signer_, opts));
+                              current_signer_, opts));
     auto vs = std::make_unique<ViewState>();
     vs->view = std::move(view);
     // A view is one unsplit shard: id 0, plain name, the whole domain.
@@ -789,29 +712,19 @@ Result<const JoinView*> CentralServer::GetJoinView(
   return it->second->view.get();
 }
 
-Status CentralServer::ExportHeapAndTree(const std::string& name,
-                                        const Schema& schema,
-                                        const TableHeap* heap,
-                                        const VBTree* tree,
-                                        ByteWriter* w) const {
+void CentralServer::ExportRowsAndTree(const std::string& name,
+                                      const RowStore& store,
+                                      const VBTree& tree, ByteWriter* w) {
   w->PutU32(kSnapshotMagic);
   w->PutString(name);
-  schema.Serialize(w);
-  // Rows with their Rids (the VB-tree's leaf entries address them by Rid).
-  std::vector<std::pair<Rid, Tuple>> rows;
-  for (TableHeap::Iterator it = heap->Begin(); it.Valid(); it.Next()) {
-    VBT_ASSIGN_OR_RETURN(Tuple t, it.Get());
-    rows.emplace_back(it.rid(), std::move(t));
-  }
-  w->PutVarint(rows.size());
-  for (const auto& [rid, t] : rows) {
-    w->PutU32(static_cast<uint32_t>(rid.page_id));
-    w->PutU16(rid.slot);
-    t.Serialize(w);
-  }
+  store.schema().Serialize(w);
+  // The caller's latch keeps the store still between the count and the
+  // scan. Rows ship as the bytes they rest as; the leaf entries address
+  // them by key.
+  w->PutVarint(store.size());
+  store.Scan([w](int64_t, Slice row) { w->PutBytes(row); });
   // The tree carries the replica version.
-  tree->SerializeTo(w);
-  return Status::OK();
+  tree.SerializeTo(w);
 }
 
 Result<std::vector<uint8_t>> CentralServer::ExportTableSnapshot(
@@ -823,18 +736,13 @@ Result<std::vector<uint8_t>> CentralServer::ExportTableSnapshot(
     if (view_it != views_.end()) {
       const ViewState* vs = view_it->second.get();
       std::shared_lock vlock(vs->mu);
-      VBT_RETURN_NOT_OK(ExportHeapAndTree(name, vs->view->heap()->schema(),
-                                          vs->view->heap(), vs->view->tree(),
-                                          &w));
+      ExportRowsAndTree(name, vs->view->store(), *vs->view->tree(), &w);
       return w.TakeBuffer();
     }
   }
   VBT_ASSIGN_OR_RETURN(std::shared_ptr<ShardState> shard, ResolveShard(name));
   std::shared_lock lock(shard->mu);
-  VBT_RETURN_NOT_OK(ExportHeapAndTree(shard->dist_name,
-                                      shard->heap->schema(),
-                                      shard->heap.get(), shard->tree.get(),
-                                      &w));
+  ExportRowsAndTree(shard->dist_name, shard->store, *shard->tree, &w);
   return w.TakeBuffer();
 }
 
@@ -976,8 +884,7 @@ Status CentralServer::RotateKey(uint64_t now) {
                 ? &shard->dist_name
                 : nullptr;
         VBT_RETURN_NOT_OK(shard->tree->ResignAll(
-            current_signer_, key_version_,
-            Executor::FetcherFor(shard->heap.get()), rebind));
+            current_signer_, key_version_, shard->store.Fetcher(), rebind));
         // A re-sign cannot ship as a delta: restart the log lineage so
         // every subscriber catches up with a fresh snapshot.
         shard->log.Reset(shard->tree->version());
@@ -991,8 +898,7 @@ Status CentralServer::RotateKey(uint64_t now) {
     for (auto& [name, vs] : views_) {
       std::unique_lock vlock(vs->mu);
       VBT_RETURN_NOT_OK(vs->view->tree()->ResignAll(
-          current_signer_, key_version_,
-          Executor::FetcherFor(vs->view->heap())));
+          current_signer_, key_version_, vs->view->store().Fetcher()));
       vs->map.epoch++;
       VBT_RETURN_NOT_OK(SignMap(&vs->map, &vs->map_bytes));
     }
@@ -1017,11 +923,6 @@ VBTree* CentralServer::tree(const std::string& name) {
   std::shared_lock maps(maps_mu_);
   auto vit = views_.find(name);
   return vit != views_.end() ? vit->second->view->tree() : nullptr;
-}
-
-TableHeap* CentralServer::heap(const std::string& name) {
-  auto shard = ResolveShard(name);
-  return shard.ok() ? (*shard)->heap.get() : nullptr;
 }
 
 Result<std::vector<CentralServer::DomainStats>>

@@ -22,7 +22,7 @@
 #include "edge/propagation/update_log.h"
 #include "edge/shard_write_domain.h"
 #include "query/join_view.h"
-#include "storage/table_heap.h"
+#include "storage/row_store.h"
 #include "vbtree/vb_tree.h"
 
 namespace vbtree {
@@ -33,7 +33,7 @@ namespace vbtree {
 /// signing keys with validity windows.
 ///
 /// Tables are range-sharded: every table is a set of key-range shards,
-/// each an independently signed VB-tree with its own heap and update
+/// each an independently signed VB-tree with its own RowStore and update
 /// log, stitched together by a signed, epoch-versioned PartitionMap
 /// (edge/partition_map.h). A freshly created table has one shard
 /// spanning the whole key domain (wire- and digest-compatible with the
@@ -53,7 +53,7 @@ namespace vbtree {
 ///
 /// Concurrency (DESIGN.md §10): every shard owns a ShardWriteDomain —
 /// a bounded DML queue drained by one dedicated signer worker that owns
-/// all mutation of that shard's heap, tree and update log. InsertTuple /
+/// all mutation of that shard's rows, tree and update log. InsertTuple /
 /// DeleteRange resolve the owning shard(s) and enqueue; signing (the
 /// dominant insert cost) proceeds in parallel across shards while each
 /// shard's op stream — and therefore its UpdateLog — stays strictly
@@ -81,24 +81,16 @@ class CentralServer {
     std::string db_name = "edgedb";
     VBTreeOptions tree_opts{};
     /// false → SimSigner (paper-sized 16-byte signed digests);
-    /// true → real recoverable RSA.
+    /// true → real recoverable RSA-1024.
     bool use_rsa = false;
-    int rsa_bits = 1024;
     uint64_t key_seed = 2024;
     /// SimSigner decrypt work multiplier (Cost_s emulation).
     int sim_work_factor = 1;
     /// Validity window (logical time) granted to each key version.
     uint64_t key_validity = 1'000'000;
-    size_t buffer_pool_pages = 16384;
     /// Ops retained per shard for delta propagation; subscribers further
     /// behind than this are caught up with a snapshot.
     size_t update_log_window = 1 << 16;
-
-    /// Per-shard write-domain queue bound (Enqueue backpressures there).
-    size_t domain_queue_capacity = 1024;
-    /// Recent-insert-key window each domain retains for the auto-split
-    /// policy's split-point heuristic.
-    size_t domain_recent_keys = 256;
 
     // --- contention-driven auto-split (policy thread) ---
     /// When set, a background policy thread watches per-shard traffic
@@ -145,9 +137,10 @@ class CentralServer {
   Result<table_id_t> CreateTable(const std::string& name, Schema schema,
                                  const std::vector<int64_t>& split_points);
 
-  /// Bulk-loads rows (routed to their owning shards and sorted by key)
-  /// into the shard heaps and builds each shard's VB-tree with every
-  /// digest signed.
+  /// Bulk-loads rows (routed to their owning shards and sorted by key):
+  /// builds each shard's VB-tree with every digest signed, then stores
+  /// the rows. A load the tree rejects (a duplicate key, a non-empty
+  /// shard) stores nothing in that shard.
   Status LoadTable(const std::string& name, std::vector<Tuple> rows);
 
   Result<const TableInfo*> DescribeTable(const std::string& name) const {
@@ -156,8 +149,8 @@ class CentralServer {
 
   // --- updates (§3.4; only the central server can sign) ---
   /// Routes the row to its owning shard's write domain and waits for the
-  /// domain worker to apply (heap insert, signed tree insert, log
-  /// append). Concurrent callers hitting different shards sign in
+  /// domain worker to apply (signed tree insert, row store, log append;
+  /// an insert the tree rejects stores nothing). Concurrent callers hitting different shards sign in
   /// parallel; callers hitting one shard serialize in enqueue order.
   Status InsertTuple(const std::string& name, const Tuple& tuple);
   /// Pipelined variant: returns as soon as the op is queued; the future
@@ -166,12 +159,14 @@ class CentralServer {
   /// serialized path and return an already-resolved future.)
   Result<std::future<Status>> InsertTupleAsync(const std::string& name,
                                                const Tuple& tuple);
+  /// Deletes every row keyed in [lo, hi] from the trees and stores of
+  /// the shards the range overlaps; returns how many were removed.
   Result<size_t> DeleteRange(const std::string& name, int64_t lo, int64_t hi);
 
   /// Splits the shard of `name` owning `split_key` into two shards with
   /// fresh ids: [lo, split_key-1] and [split_key, hi]. Incremental
-  /// (DESIGN.md §10): the parent's domain is sealed and drained, live
-  /// rows are copied to the children's heaps, and each child tree is
+  /// (DESIGN.md §10): the parent's domain is sealed and drained, each
+  /// child is handed the parent's rows in its range, and each child tree is
   /// built by VBTree::CloneRange — reusing the parent's already-signed
   /// subtrees, so only the O(height) trim boundary plus the root binding
   /// is re-signed, not O(rows). The children stay in the parent's digest
@@ -224,10 +219,10 @@ class CentralServer {
 
   // --- versioned distribution surface (consumed by DistributionHub) ---
 
-  /// Serializes one shard (by distribution name) or view: schema, rows
-  /// with their Rids, and the complete VB-tree (which carries the
-  /// replica version). Plain table names resolve to the table's sole
-  /// id-0 shard.
+  /// Serializes one shard (by distribution name) or view: schema, the
+  /// row count and each row's Tuple::Serialize bytes, then the complete
+  /// VB-tree (which carries the replica version). Plain table names
+  /// resolve to the table's sole id-0 shard.
   Result<std::vector<uint8_t>> ExportTableSnapshot(
       const std::string& name) const;
 
@@ -289,36 +284,37 @@ class CentralServer {
 
   // --- direct access for tests and benches ---
   /// Resolves a shard distribution name (or the plain name of a
-  /// single-shard table, or a view name) to its tree/heap. NOT
-  /// split-safe: the raw pointer dangles if SplitShard retires the
-  /// shard — test/bench hooks only, never called concurrently with
-  /// splits.
+  /// single-shard table, or a view name) to its tree. NOT split-safe:
+  /// the raw pointer dangles if SplitShard retires the shard —
+  /// test/bench hooks only, never called concurrently with splits.
   VBTree* tree(const std::string& name);
-  TableHeap* heap(const std::string& name);
 
  private:
   explicit CentralServer(Options options)
       : options_(std::move(options)), catalog_(options_.db_name) {}
 
-  /// One key-range shard: its own heap, independently signed VB-tree,
+  /// One key-range shard: its own rows, independently signed VB-tree,
   /// and retained op log (an independent version stream).
   struct ShardState {
+    ShardState(const Schema& schema, size_t log_window)
+        : store(schema), log(log_window) {}
+
     uint32_t shard_id = 0;
     int64_t lo = 0;
     int64_t hi = 0;
     std::string dist_name;
-    std::unique_ptr<TableHeap> heap;
+    /// Exactly the rows the tree indexes: every write applies to both
+    /// under `mu`.
+    RowStore store;
     std::unique_ptr<VBTree> tree;
     /// Retained op log; head always equals tree->version().
     UpdateLog log;
-    /// Guards heap + log against concurrent export (tree self-latches).
+    /// Guards rows + log against concurrent export (tree self-latches).
     mutable std::shared_mutex mu;
     /// The shard's write pipeline: all DML for this shard funnels
     /// through here (one signer worker, FIFO). Sealed when the shard is
     /// retired by a split.
     std::unique_ptr<ShardWriteDomain> domain;
-
-    explicit ShardState(size_t log_window) : log(log_window) {}
   };
 
   struct TableState {
@@ -339,7 +335,7 @@ class CentralServer {
     /// The view's signed one-shard map and its serialized form.
     PartitionMap map;
     std::shared_ptr<const std::vector<uint8_t>> map_bytes;
-    /// Guards the view heap and map against concurrent export.
+    /// Guards the view's rows and map against concurrent export.
     mutable std::shared_mutex mu;
   };
 
@@ -355,29 +351,28 @@ class CentralServer {
   std::shared_ptr<ShardState> ShardForKey(const TableState& table,
                                           int64_t key) const;
 
-  /// Shard scaffolding (heap, names, write domain) without a tree —
+  /// Shard scaffolding (row store, names, write domain) without a tree —
   /// split children receive CloneRange output instead.
-  Result<std::shared_ptr<ShardState>> MakeShardShell(const std::string& table,
-                                                     const Schema& schema,
-                                                     uint32_t shard_id,
-                                                     int64_t lo, int64_t hi);
+  std::shared_ptr<ShardState> MakeShardShell(const std::string& table,
+                                             const Schema& schema,
+                                             uint32_t shard_id, int64_t lo,
+                                             int64_t hi);
   /// Builds an empty signed shard tree for [lo, hi].
-  Result<std::shared_ptr<ShardState>> MakeShard(const std::string& table,
-                                                const Schema& schema,
-                                                uint32_t shard_id, int64_t lo,
-                                                int64_t hi);
+  std::shared_ptr<ShardState> MakeShard(const std::string& table,
+                                        const Schema& schema,
+                                        uint32_t shard_id, int64_t lo,
+                                        int64_t hi);
 
   /// Op bodies, run on the owning shard's domain worker. Self-contained:
-  /// they take only the shard's own latches.
+  /// they take only the shard's own latches. ApplyDelete reports the keys
+  /// it removed from the shard's store.
   Status ApplyInsert(ShardState* shard, const Tuple& tuple);
   Status ApplyDelete(ShardState* shard, int64_t lo, int64_t hi,
-                     size_t* removed);
+                     std::vector<int64_t>* removed);
 
   /// Serialized DML for tables referenced by a join view (maintenance is
   /// cross-table; views_mu_ restores the pre-pipeline total order).
   Status InsertTupleSerial(const std::string& name, const Tuple& tuple);
-  Result<size_t> DeleteRangeSerial(TableState* state, const std::string& name,
-                                   int64_t lo, int64_t hi);
   /// Join-view maintenance for one inserted row (caller holds views_mu_).
   Status MaintainViewsOnInsert(const std::string& name, const Tuple& tuple);
 
@@ -401,9 +396,9 @@ class CentralServer {
   Result<std::vector<Tuple>> MatchingRows(const std::string& table, size_t col,
                                           const Value& value) const;
 
-  Status ExportHeapAndTree(const std::string& name, const Schema& schema,
-                           const TableHeap* heap, const VBTree* tree,
-                           ByteWriter* w) const;
+  static void ExportRowsAndTree(const std::string& name,
+                                const RowStore& store, const VBTree& tree,
+                                ByteWriter* w);
 
   Options options_;
   Catalog catalog_;
@@ -414,9 +409,6 @@ class CentralServer {
   Signer* current_signer_ = nullptr;
   uint32_t key_version_ = 0;
   uint64_t key_valid_from_ = 0;
-
-  std::unique_ptr<InMemoryDiskManager> disk_;
-  std::unique_ptr<BufferPool> pool_;
 
   /// Catalog/layout lock: DDL, bulk loads, splits and key rotation only.
   /// The per-row write path never takes it — rows flow through the

@@ -29,16 +29,18 @@ Status EdgeServer::InstallSnapshot(Slice snapshot) {
   VBT_ASSIGN_OR_RETURN(std::string table, r.ReadString());
   VBT_ASSIGN_OR_RETURN(Schema schema, Schema::Deserialize(&r));
 
-  auto replica = std::make_shared<TableReplica>();
-  replica->schema = schema;
+  if (schema.num_columns() == 0 || schema.column(0).type != TypeId::kInt64) {
+    return Status::Corruption("snapshot schema has no INT64 key column");
+  }
+  auto replica = std::make_shared<TableReplica>(schema);
   VBT_ASSIGN_OR_RETURN(uint64_t n, r.ReadCount());
   for (uint64_t i = 0; i < n; ++i) {
-    Rid rid;
-    VBT_ASSIGN_OR_RETURN(uint32_t page, r.ReadU32());
-    rid.page_id = static_cast<int32_t>(page);
-    VBT_ASSIGN_OR_RETURN(rid.slot, r.ReadU16());
+    // Decode to validate the row against the schema, but keep the bytes
+    // it arrived as: they are exactly what the store holds at rest.
+    const size_t start = r.position();
     VBT_ASSIGN_OR_RETURN(Tuple t, Tuple::Deserialize(&r, schema));
-    VBT_RETURN_NOT_OK(replica->store.Put(rid, std::move(t)));
+    replica->store.PutEncoded(
+        t.key(), Slice(snapshot.data() + start, r.position() - start));
   }
   // Edge replicas have no signer: updates are rejected locally and must be
   // routed to the central server (§3.4). The tree carries its replica
@@ -110,7 +112,7 @@ Status EdgeServer::ApplyUpdateBatch(Slice batch_bytes) {
     std::shared_lock lock(mu_);
     auto it = tables_.find(table);
     if (it == tables_.end()) return Status::NotFound("no replica of " + table);
-    return it->second->schema;
+    return it->second->store.schema();
   };
   VBT_ASSIGN_OR_RETURN(UpdateBatch batch,
                        UpdateBatch::Deserialize(&r, schema_for));
@@ -137,13 +139,13 @@ Status EdgeServer::ApplyUpdateBatch(Slice batch_bytes) {
   for (const UpdateOp& op : batch.ops) {
     std::deque<Signature> feed(op.resigned.begin(), op.resigned.end());
     if (op.kind == UpdateOp::Kind::kInsert) {
-      // Store before tree: the tuple must be fetchable by the time the
-      // tree publishes the leaf entry pointing at it.
-      VBT_RETURN_NOT_OK(replica->store.Put(op.rid, op.tuple));
+      // Store before tree: the row must be fetchable by the time the
+      // tree publishes the leaf entry addressing it.
+      replica->store.Put(op.tuple);
       VBT_RETURN_NOT_OK(
-          replica->tree->ReplayInsert(op.tuple, op.rid, op.material, &feed));
+          replica->tree->ReplayInsert(op.tuple, op.material, &feed));
     } else {
-      // Tree before store: readers can only reach the doomed tuples
+      // Tree before store: readers can only reach the doomed rows
       // through envelopes the delete's commit invalidates.
       VBT_RETURN_NOT_OK(replica->tree->ReplayDeleteRange(op.lo, op.hi, &feed));
       replica->store.RemoveKeyRange(op.lo, op.hi);

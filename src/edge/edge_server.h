@@ -8,14 +8,14 @@
 
 #include "edge/network.h"
 #include "edge/partition_map.h"
-#include "edge/replica_store.h"
 #include "query/predicate.h"
+#include "storage/row_store.h"
 #include "vbtree/vb_tree.h"
 
 namespace vbtree {
 
 /// How a compromised edge server mangles query responses (test/demo
-/// hooks). Data-level tampering lives in ReplicaStore::TamperByKey; these
+/// hooks). Data-level tampering lives in RowStore::TamperByKey; these
 /// modes corrupt the response after honest execution.
 enum class ResponseTamper {
   kNone,
@@ -263,8 +263,9 @@ class EdgeServer {
 
  private:
   struct TableReplica {
-    Schema schema;
-    ReplicaStore store;
+    explicit TableReplica(Schema schema) : store(std::move(schema)) {}
+
+    RowStore store;
     std::unique_ptr<VBTree> tree;
     /// Serializes delta replay against this replica (install writers);
     /// never taken by the query path — readers run latch-free against

@@ -21,8 +21,6 @@ void UpdateOp::Serialize(ByteWriter* w) const {
   w->PutU8(static_cast<uint8_t>(kind));
   if (kind == Kind::kInsert) {
     tuple.Serialize(w);
-    w->PutU32(static_cast<uint32_t>(rid.page_id));
-    w->PutU16(rid.slot);
     PutSig(w, material.tuple_sig);
     w->PutVarint(material.attr_sigs.size());
     for (const Signature& s : material.attr_sigs) PutSig(w, s);
@@ -43,9 +41,6 @@ Result<UpdateOp> UpdateOp::Deserialize(ByteReader* r, const Schema& schema) {
   op.kind = static_cast<Kind>(kind);
   if (op.kind == Kind::kInsert) {
     VBT_ASSIGN_OR_RETURN(op.tuple, Tuple::Deserialize(r, schema));
-    VBT_ASSIGN_OR_RETURN(uint32_t page, r->ReadU32());
-    op.rid.page_id = static_cast<int32_t>(page);
-    VBT_ASSIGN_OR_RETURN(op.rid.slot, r->ReadU16());
     VBT_ASSIGN_OR_RETURN(op.material.tuple_sig, ReadSig(r));
     VBT_ASSIGN_OR_RETURN(uint64_t n, r->ReadCount());
     op.material.attr_sigs.reserve(n);

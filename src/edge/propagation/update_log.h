@@ -16,8 +16,8 @@ namespace vbtree {
 
 /// One logged update applied at the central server (§3.4), with all the
 /// signature material an edge replica needs to replay it:
-///  * inserts carry the tuple, its Rid, and the signed attribute/tuple
-///    digests (formula (1)/(2));
+///  * inserts carry the tuple (its key is its address in the replica's
+///    RowStore) and the signed attribute/tuple digests (formula (1)/(2));
 ///  * both kinds carry the node signatures produced while re-signing the
 ///    affected path, in deterministic order.
 ///
@@ -30,7 +30,6 @@ struct UpdateOp {
   Kind kind = Kind::kInsert;
   // kInsert payload:
   Tuple tuple;
-  Rid rid;
   VBTree::SignedEntryMaterial material;
   // kDeleteRange payload:
   int64_t lo = 0;

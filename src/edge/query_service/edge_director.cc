@@ -107,7 +107,7 @@ void EdgeDirector::ReportTimeout(const std::string& edge_name) {
     e.timeout_strikes++;
     if (e.timeout_strikes >= options_.timeout_quarantine_after) {
       quarantined = QuarantineLocked(&e);
-    } else if (e.timeout_strikes >= options_.suspect_after) {
+    } else {
       e.state = EdgeHealth::kSuspect;
     }
   }
@@ -129,15 +129,9 @@ void EdgeDirector::ReportVerifyFailure(const std::string& edge_name) {
     Edge& e = it->second;
     stats_.verify_failures++;
     e.verify_strikes++;
-    if (e.state == EdgeHealth::kQuarantined) {
-      QuarantineLocked(&e);
-      return;
-    }
-    if (e.verify_strikes >= options_.verify_quarantine_after) {
-      quarantined = QuarantineLocked(&e);
-    } else {
-      e.state = EdgeHealth::kSuspect;
-    }
+    // The first bad proof quarantines; one from an edge already in
+    // quarantine (a failed probe) backs its probation off.
+    quarantined = QuarantineLocked(&e);
   }
   if (quarantined && auditor != nullptr) {
     size_t moved = auditor->Expedite(edge_name);

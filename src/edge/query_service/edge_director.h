@@ -44,14 +44,12 @@ enum class EdgeHealth { kHealthy, kSuspect, kQuarantined };
 /// thread delivers alarms.
 class EdgeDirector {
  public:
+  /// The first timeout turns an edge kSuspect, and the first synchronous
+  /// verification failure quarantines it: a bad proof is never an
+  /// accident of the network.
   struct Options {
-    /// Consecutive timeout strikes before kHealthy -> kSuspect.
-    size_t suspect_after = 1;
     /// Consecutive timeout strikes before quarantine.
     size_t timeout_quarantine_after = 3;
-    /// Synchronous verification failures before quarantine (1 = first
-    /// offense: a bad proof is never an accident of the network).
-    size_t verify_quarantine_after = 1;
     /// Deferred-audit alarms before quarantine.
     size_t alarm_quarantine_after = 2;
     /// First probation window after quarantine, microseconds.

@@ -5,12 +5,11 @@
 
 namespace vbtree {
 
-ShardWriteDomain::ShardWriteDomain(std::string name, Options options)
+ShardWriteDomain::ShardWriteDomain(std::string name)
     : name_(std::move(name)),
-      options_(options),
-      depth_hist_(options.queue_capacity + 1, 0),
+      depth_hist_(kQueueCapacity + 1, 0),
       worker_([this] { WorkerLoop(); }) {
-  recent_keys_.reserve(options_.recent_key_window);
+  recent_keys_.reserve(kRecentKeyWindow);
 }
 
 ShardWriteDomain::~ShardWriteDomain() { Seal(); }
@@ -18,7 +17,7 @@ ShardWriteDomain::~ShardWriteDomain() { Seal(); }
 Result<std::future<Status>> ShardWriteDomain::Enqueue(Op op) {
   std::unique_lock lock(mu_);
   not_full_.wait(lock, [&] {
-    return sealed_ || queue_.size() < options_.queue_capacity;
+    return sealed_ || queue_.size() < kQueueCapacity;
   });
   if (sealed_) {
     return Status::ResourceExhausted("write domain " + name_ +
@@ -31,7 +30,7 @@ Result<std::future<Status>> ShardWriteDomain::Enqueue(Op op) {
   ops_enqueued_++;
   const size_t depth = queue_.size();
   depth_peak_ = std::max(depth_peak_, depth);
-  depth_hist_[std::min(depth, options_.queue_capacity)]++;
+  depth_hist_[std::min(depth, kQueueCapacity)]++;
   not_empty_.notify_one();
   return fut;
 }
@@ -75,14 +74,12 @@ void ShardWriteDomain::Seal() {
 
 void ShardWriteDomain::RecordInsertKey(int64_t key) {
   std::lock_guard lock(mu_);
-  if (options_.recent_key_window == 0) return;
-  if (recent_keys_.size() < options_.recent_key_window) {
+  if (recent_keys_.size() < kRecentKeyWindow) {
     recent_keys_.push_back(key);
   } else {
     recent_keys_[recent_pos_] = key;
-    recent_full_ = true;
   }
-  recent_pos_ = (recent_pos_ + 1) % options_.recent_key_window;
+  recent_pos_ = (recent_pos_ + 1) % kRecentKeyWindow;
 }
 
 std::vector<int64_t> ShardWriteDomain::RecentInsertKeys() const {

@@ -18,7 +18,7 @@ namespace vbtree {
 
 /// The per-shard write pipeline of the central server (DESIGN.md §10):
 /// one bounded FIFO queue drained by one dedicated worker thread that
-/// owns all mutation of the shard's heap, VB-tree and update log. Every
+/// owns all mutation of the shard's rows, VB-tree and update log. Every
 /// shard having its own domain is what turns the central server's write
 /// path from "one trusted writer" into "one trusted writer *per shard*"
 /// — signing (the dominant insert cost) proceeds in parallel across
@@ -56,15 +56,13 @@ class ShardWriteDomain {
   /// deadlock-freedom rule for Pause/Seal/Drain).
   using Op = std::function<Status()>;
 
-  struct Options {
-    /// Enqueue blocks (backpressure) at this depth.
-    size_t queue_capacity = 1024;
-    /// Ring of recent insert keys kept for the split-point heuristic
-    /// ("split where the traffic is": the policy thread splits a hot
-    /// shard at the median of its recent insert keys, not at the median
-    /// of its stored keys).
-    size_t recent_key_window = 256;
-  };
+  /// Enqueue blocks (backpressure) at this depth.
+  static constexpr size_t kQueueCapacity = 1024;
+  /// Ring of recent insert keys kept for the split-point heuristic
+  /// ("split where the traffic is": the policy thread splits a hot shard
+  /// at the median of its recent insert keys, not at the median of its
+  /// stored keys).
+  static constexpr size_t kRecentKeyWindow = 256;
 
   struct Stats {
     uint64_t ops_enqueued = 0;
@@ -75,9 +73,7 @@ class ShardWriteDomain {
     bool sealed = false;
   };
 
-  ShardWriteDomain(std::string name, Options options);
-  explicit ShardWriteDomain(std::string name)
-      : ShardWriteDomain(std::move(name), Options()) {}
+  explicit ShardWriteDomain(std::string name);
   ~ShardWriteDomain();  ///< Seals (drains + joins) if not already sealed.
 
   ShardWriteDomain(const ShardWriteDomain&) = delete;
@@ -131,7 +127,6 @@ class ShardWriteDomain {
   void WorkerLoop();
 
   const std::string name_;
-  const Options options_;
 
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
@@ -146,13 +141,12 @@ class ShardWriteDomain {
   std::atomic<uint64_t> ops_applied_{0};
   size_t depth_peak_ = 0;
   /// Histogram of queue depth observed at each enqueue (depth clamped to
-  /// queue_capacity); p99 is computed by walking it. Fixed-size so the
+  /// kQueueCapacity); p99 is computed by walking it. Fixed-size so the
   /// hot path is an array increment under mu_ it already holds.
   std::vector<uint64_t> depth_hist_;
 
   std::vector<int64_t> recent_keys_;  ///< ring buffer
   size_t recent_pos_ = 0;
-  bool recent_full_ = false;
 
   std::thread worker_;
 };

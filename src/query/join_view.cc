@@ -24,7 +24,7 @@ Schema MakeViewSchema(const Schema& left, const Schema& right) {
 Tuple JoinView::MakeViewTuple(int64_t view_id, const Tuple& left,
                               const Tuple& right) const {
   std::vector<Value> values;
-  values.reserve(schema_.num_columns());
+  values.reserve(schema().num_columns());
   values.push_back(Value::Int(view_id));
   for (const Value& v : left.values()) values.push_back(v);
   for (const Value& v : right.values()) values.push_back(v);
@@ -35,7 +35,7 @@ Result<std::unique_ptr<JoinView>> JoinView::Materialize(
     const JoinSpec& spec, const std::string& db_name,
     const Schema& left_schema, const Schema& right_schema,
     std::span<const Tuple> left_rows, std::span<const Tuple> right_rows,
-    BufferPool* pool, Signer* signer, const VBTreeOptions& opts) {
+    Signer* signer, const VBTreeOptions& opts) {
   if (spec.left_col >= left_schema.num_columns() ||
       spec.right_col >= right_schema.num_columns()) {
     return Status::InvalidArgument("join column out of range");
@@ -43,7 +43,6 @@ Result<std::unique_ptr<JoinView>> JoinView::Materialize(
   Schema schema = MakeViewSchema(left_schema, right_schema);
   auto view =
       std::unique_ptr<JoinView>(new JoinView(spec, schema));
-  VBT_ASSIGN_OR_RETURN(view->heap_, TableHeap::Create(pool, schema));
   DigestSchema ds(db_name, spec.view_name, schema, opts.hash_algo,
                   opts.modulus_bits);
   view->tree_ = std::make_unique<VBTree>(std::move(ds), opts, signer);
@@ -78,17 +77,16 @@ Result<std::unique_ptr<JoinView>> JoinView::Materialize(
     return a.right->key() < b.right->key();
   });
 
-  std::vector<std::pair<Tuple, Rid>> rows;
+  std::vector<Tuple> rows;
   rows.reserve(pairs.size());
   for (const Pair& p : pairs) {
     int64_t id = view->next_view_id_++;
-    Tuple vt = view->MakeViewTuple(id, *p.left, *p.right);
-    VBT_ASSIGN_OR_RETURN(Rid rid, view->heap_->Insert(vt));
     view->left_index_.emplace(p.left->key(), id);
     view->right_index_.emplace(p.right->key(), id);
-    rows.emplace_back(std::move(vt), rid);
+    rows.push_back(view->MakeViewTuple(id, *p.left, *p.right));
   }
   VBT_RETURN_NOT_OK(view->tree_->BulkLoad(rows));
+  for (const Tuple& row : rows) view->store_.Put(row);
   view->row_count_ = rows.size();
   return view;
 }
@@ -99,8 +97,8 @@ Status JoinView::AddJoinedRow(const Tuple& left, const Tuple& right) {
   }
   int64_t id = next_view_id_++;
   Tuple vt = MakeViewTuple(id, left, right);
-  VBT_ASSIGN_OR_RETURN(Rid rid, heap_->Insert(vt));
-  VBT_RETURN_NOT_OK(tree_->Insert(vt, rid));
+  VBT_RETURN_NOT_OK(tree_->Insert(vt));
+  store_.Put(vt);
   left_index_.emplace(left.key(), id);
   right_index_.emplace(right.key(), id);
   row_count_++;
@@ -116,11 +114,10 @@ Result<size_t> JoinView::RemoveByBaseKey(
   size_t removed = 0;
   for (int64_t id : ids) {
     VBT_ASSIGN_OR_RETURN(size_t n, tree_->DeleteRange(id, id));
+    store_.RemoveKeyRange(id, id);
     removed += n;
   }
   row_count_ -= removed;
-  // Note: heap rows for removed ids become unreachable (no leaf entry
-  // points at them); a compaction pass could reclaim them.
   return removed;
 }
 

@@ -6,7 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "storage/table_heap.h"
+#include "storage/row_store.h"
 #include "vbtree/vb_tree.h"
 
 namespace vbtree {
@@ -24,7 +24,7 @@ struct JoinSpec {
   size_t right_col = 0;
 };
 
-/// A materialized equi-join view with its own table heap and VB-tree.
+/// A materialized equi-join view with its own RowStore and VB-tree.
 ///
 /// View schema: [view_id INT64, l_<left columns...>, r_<right columns...>].
 /// The synthetic view_id key makes view rows indexable by the VB-tree;
@@ -40,26 +40,26 @@ class JoinView {
       const JoinSpec& spec, const std::string& db_name,
       const Schema& left_schema, const Schema& right_schema,
       std::span<const Tuple> left_rows, std::span<const Tuple> right_rows,
-      BufferPool* pool, Signer* signer, const VBTreeOptions& opts);
+      Signer* signer, const VBTreeOptions& opts);
 
   const JoinSpec& spec() const { return spec_; }
-  const Schema& schema() const { return schema_; }
+  const Schema& schema() const { return store_.schema(); }
   const VBTree* tree() const { return tree_.get(); }
   VBTree* tree() { return tree_.get(); }
-  const TableHeap* heap() const { return heap_.get(); }
+  const RowStore& store() const { return store_; }
   size_t row_count() const { return row_count_; }
 
   /// Adds the join of (left, right); both must satisfy the join condition.
   Status AddJoinedRow(const Tuple& left, const Tuple& right);
 
   /// Removes all view rows produced from the base row with this left-table
-  /// key; returns how many were removed.
+  /// key, from the tree and the store; returns how many were removed.
   Result<size_t> RemoveByLeftKey(int64_t left_key);
   Result<size_t> RemoveByRightKey(int64_t right_key);
 
  private:
   JoinView(JoinSpec spec, Schema schema)
-      : spec_(std::move(spec)), schema_(std::move(schema)) {}
+      : spec_(std::move(spec)), store_(std::move(schema)) {}
 
   /// Builds the view tuple for a matching pair.
   Tuple MakeViewTuple(int64_t view_id, const Tuple& left,
@@ -69,8 +69,7 @@ class JoinView {
       std::unordered_multimap<int64_t, int64_t>* index, int64_t base_key);
 
   JoinSpec spec_;
-  Schema schema_;
-  std::unique_ptr<TableHeap> heap_;
+  RowStore store_;
   std::unique_ptr<VBTree> tree_;
   int64_t next_view_id_ = 0;
   size_t row_count_ = 0;

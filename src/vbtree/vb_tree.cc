@@ -33,12 +33,13 @@ uint64_t ElapsedUs(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 struct VBTree::LeafEntry {
+  /// The primary key, which is also the row's address in its RowStore.
   int64_t key = 0;
-  Rid rid;
   /// Unsigned tuple digest t_j (formula (2)); cached so node digests can
   /// be recomputed without re-reading tuples.
   Digest tuple_digest;
-  /// s(t_j), stored with the tuple pointer (formula (2), Fig. 3b).
+  /// s(t_j), stored with the tuple pointer — the key (formula (2),
+  /// Fig. 3b).
   Signature tuple_sig;
   /// s(a_j1) ... s(a_jm): signed attribute digests (formula (1)); the
   /// D_P source for projections.
@@ -140,6 +141,8 @@ struct VBTree::ReadGuard {
   const std::atomic<Node*>* root_src = nullptr;
   Node* root_seen = nullptr;
   bool failed = false;
+  /// The batch's fetch memo (ExecuteSelectBatch); null for single reads.
+  FetchMemo* memo = nullptr;
 
   const NodeContent* Read(const Node* n) {
     uint64_t w = n->word.load(std::memory_order_acquire);
@@ -181,6 +184,48 @@ struct VBTree::ReadGuard {
       if (c->struct_version != r.struct_version) return false;
     }
     return true;
+  }
+};
+
+/// ExecuteSelectBatch's batch-scoped row memo: queries with overlapping
+/// envelopes share each row read (and decode) instead of re-fetching per
+/// query. Fetches land in a per-attempt staging area and merge into the
+/// committed memo only when the attempt's read set validates, so a
+/// restarted (torn) read never leaks a row to its batch siblings. An
+/// entry answers only a leaf entry with the same tuple digest: rows are
+/// addressed by key, and a key deleted and re-inserted while the batch
+/// converges is a different row at the same address.
+struct VBTree::FetchMemo {
+  struct Row {
+    Digest digest;
+    Tuple tuple;
+  };
+  std::map<int64_t, Row> committed;
+  std::map<int64_t, Row> staging;
+  size_t fetches = 0;
+  size_t hits = 0;
+
+  Result<Tuple> Fetch(const LeafEntry& e, const TupleFetcher& fetch) {
+    if (auto it = committed.find(e.key);
+        it != committed.end() && it->second.digest == e.tuple_digest) {
+      hits++;
+      return it->second.tuple;
+    }
+    if (auto it = staging.find(e.key);
+        it != staging.end() && it->second.digest == e.tuple_digest) {
+      return it->second.tuple;
+    }
+    VBT_ASSIGN_OR_RETURN(Tuple t, fetch(e.key));
+    fetches++;
+    return staging.insert_or_assign(e.key, Row{e.tuple_digest, std::move(t)})
+        .first->second.tuple;
+  }
+
+  void Commit() {
+    for (auto& [key, row] : staging) {
+      committed.insert_or_assign(key, std::move(row));
+    }
+    staging.clear();
   }
 };
 
@@ -470,10 +515,7 @@ Status VBTree::RecomputeLeafDigest(Leaf* leaf) {
   ds.reserve(leaf->entries.size());
   for (const LeafEntry& e : leaf->entries) ds.push_back(e.tuple_digest);
   leaf->exponent = ds_.ghash().ExponentProduct(ds);
-  leaf->digest =
-      opts_.update_strategy == DigestUpdateStrategy::kRecomputeChained
-          ? ds_.CombineDigests(ds)
-          : ds_.ghash().CombineViaExponent(ds);
+  leaf->digest = ds_.CombineDigests(ds);
   return ResignNode(leaf);
 }
 
@@ -482,15 +524,11 @@ Status VBTree::RecomputeInternalDigest(Internal* in) {
   ds.reserve(in->children.size());
   for (const Node* c : in->children) ds.push_back(WriterRead(c)->digest);
   in->exponent = ds_.ghash().ExponentProduct(ds);
-  in->digest =
-      opts_.update_strategy == DigestUpdateStrategy::kRecomputeChained
-          ? ds_.CombineDigests(ds)
-          : ds_.ghash().CombineViaExponent(ds);
+  in->digest = ds_.CombineDigests(ds);
   return ResignNode(in);
 }
 
-Result<VBTree::LeafEntry> VBTree::MakeLeafEntry(const Tuple& tuple,
-                                                const Rid& rid) {
+Result<VBTree::LeafEntry> VBTree::MakeLeafEntry(const Tuple& tuple) {
   if (signer_ == nullptr) {
     return Status::InvalidArgument("cannot create signed entries without key");
   }
@@ -499,7 +537,6 @@ Result<VBTree::LeafEntry> VBTree::MakeLeafEntry(const Tuple& tuple,
   }
   LeafEntry e;
   e.key = tuple.key();
-  e.rid = rid;
   std::vector<Digest> attrs = ds_.AttributeDigests(tuple);
   e.attr_sigs.reserve(attrs.size());
   for (const Digest& a : attrs) {
@@ -515,13 +552,13 @@ Result<VBTree::LeafEntry> VBTree::MakeLeafEntry(const Tuple& tuple,
 // Bulk load.
 // ---------------------------------------------------------------------------
 
-Status VBTree::BulkLoad(std::span<const std::pair<Tuple, Rid>> rows) {
+Status VBTree::BulkLoad(std::span<const Tuple> rows) {
   std::unique_lock latch(writer_mu_);
   if (size_.load(std::memory_order_relaxed) != 0) {
     return Status::InvalidArgument("BulkLoad requires an empty tree");
   }
   for (size_t i = 1; i < rows.size(); ++i) {
-    if (rows[i - 1].first.key() >= rows[i].first.key()) {
+    if (rows[i - 1].key() >= rows[i].key()) {
       return Status::InvalidArgument(
           "BulkLoad input must be sorted by strictly increasing key");
     }
@@ -542,7 +579,7 @@ Status VBTree::BulkLoad(std::span<const std::pair<Tuple, Rid>> rows) {
     size_t n = std::min(per_leaf, rows.size() - i);
     leaf->entries.reserve(n);
     for (size_t j = 0; j < n; ++j, ++i) {
-      auto e_or = MakeLeafEntry(rows[i].first, rows[i].second);
+      auto e_or = MakeLeafEntry(rows[i]);
       if (!e_or.ok()) return fail(e_or.status());
       leaf->entries.push_back(e_or.MoveValueUnsafe());
     }
@@ -740,13 +777,13 @@ Status VBTree::InsertEntry(LeafEntry entry) {
   return Status::OK();
 }
 
-Status VBTree::Insert(const Tuple& tuple, const Rid& rid, txn_id_t txn) {
+Status VBTree::Insert(const Tuple& tuple, txn_id_t txn) {
   if (signer_ == nullptr) {
     return Status::InvalidArgument(
         "edge replicas cannot process updates; route to the central server");
   }
   // Digest + signature computation happens outside the writer lock.
-  VBT_ASSIGN_OR_RETURN(LeafEntry entry, MakeLeafEntry(tuple, rid));
+  VBT_ASSIGN_OR_RETURN(LeafEntry entry, MakeLeafEntry(tuple));
 
   if (lock_manager_ != nullptr && txn != 0) {
     // X-lock the root-to-leaf path digests (§3.4 Insert).
@@ -764,14 +801,14 @@ Status VBTree::Insert(const Tuple& tuple, const Rid& rid, txn_id_t txn) {
 
 Result<VBTree::SignedEntryMaterial> VBTree::MakeEntryMaterial(
     const Tuple& tuple) {
-  VBT_ASSIGN_OR_RETURN(LeafEntry entry, MakeLeafEntry(tuple, Rid{}));
+  VBT_ASSIGN_OR_RETURN(LeafEntry entry, MakeLeafEntry(tuple));
   SignedEntryMaterial m;
   m.tuple_sig = std::move(entry.tuple_sig);
   m.attr_sigs = std::move(entry.attr_sigs);
   return m;
 }
 
-Status VBTree::ReplayInsert(const Tuple& tuple, const Rid& rid,
+Status VBTree::ReplayInsert(const Tuple& tuple,
                             const SignedEntryMaterial& material,
                             std::deque<Signature>* sig_feed) {
   if (tuple.num_values() != ds_.schema().num_columns() ||
@@ -780,7 +817,6 @@ Status VBTree::ReplayInsert(const Tuple& tuple, const Rid& rid,
   }
   LeafEntry entry;
   entry.key = tuple.key();
-  entry.rid = rid;
   // Unsigned digests are public: the replica recomputes them itself.
   std::vector<Digest> attrs = ds_.AttributeDigests(tuple);
   entry.tuple_digest = ds_.CombineDigests(attrs);
@@ -1066,7 +1102,9 @@ Status VBTree::BuildVONode(const Node* node, int depth, const SelectQuery& q,
       // A fetch failure is only trusted (reported as tampering) if the
       // read set validates afterwards; otherwise the attempt restarts —
       // a concurrent writer may simply have won the race to the store.
-      VBT_ASSIGN_OR_RETURN(Tuple t, fetch(e.rid));
+      VBT_ASSIGN_OR_RETURN(Tuple t, g->memo != nullptr
+                                        ? g->memo->Fetch(e, fetch)
+                                        : fetch(e.key));
       if (!q.MatchesConditions(t)) {
         // Non-key predicate gap inside the range (§3.3 Selection on
         // non-key attributes).
@@ -1166,21 +1204,23 @@ bool VBTree::ConsumeInjectedRestart() const {
   return false;
 }
 
-Status VBTree::RunSelectWithRestarts(
-    const SelectQuery& q, const TupleFetcher& fetch, bool under_fallback,
-    QueryOutput* out, ReadGuard* keep, uint64_t* restarts,
-    uint64_t* latch_wait_us, const std::function<void()>& attempt_begin,
-    const std::function<void()>& attempt_commit) const {
+Status VBTree::RunSelectWithRestarts(const SelectQuery& q,
+                                     const TupleFetcher& fetch,
+                                     bool under_fallback, QueryOutput* out,
+                                     ReadGuard* keep, uint64_t* restarts,
+                                     uint64_t* latch_wait_us,
+                                     FetchMemo* memo) const {
   for (int attempt = 0; attempt < kMaxOptimisticAttempts; ++attempt) {
     if (!under_fallback && attempt >= kYieldAfterAttempts) {
       const auto t0 = std::chrono::steady_clock::now();
       std::this_thread::yield();
       *latch_wait_us += ElapsedUs(t0);
     }
-    if (attempt_begin) attempt_begin();
+    if (memo != nullptr) memo->staging.clear();
     ReadGuard g;
     g.root_src = &root_;
     g.root_seen = root_.load(std::memory_order_acquire);
+    g.memo = memo;
     QueryOutput tmp;
     Status s = ExecuteSelectAttempt(q, fetch, &g, &tmp);
     if (!under_fallback && ConsumeInjectedRestart()) {
@@ -1200,7 +1240,7 @@ Status VBTree::RunSelectWithRestarts(
       continue;
     }
     tmp.read_version = label;
-    if (s.ok() && attempt_commit) attempt_commit();
+    if (s.ok() && memo != nullptr) memo->Commit();
     *out = std::move(tmp);
     if (keep != nullptr) *keep = std::move(g);
     return s;
@@ -1212,8 +1252,7 @@ Status VBTree::RunSelectWithRestarts(
   std::shared_lock fallback(writer_mu_);
   *latch_wait_us += ElapsedUs(t0);
   return RunSelectWithRestarts(q, fetch, /*under_fallback=*/true, out, keep,
-                               restarts, latch_wait_us, attempt_begin,
-                               attempt_commit);
+                               restarts, latch_wait_us, memo);
 }
 
 Result<QueryOutput> VBTree::ExecuteSelect(const SelectQuery& query,
@@ -1244,7 +1283,7 @@ Result<QueryOutput> VBTree::ExecuteSelect(const SelectQuery& query,
   uint64_t latch_wait = 0;
   Status s = RunSelectWithRestarts(q, fetch, /*under_fallback=*/false, &out,
                                    /*keep=*/nullptr, &restarts, &latch_wait,
-                                   {}, {});
+                                   /*memo=*/nullptr);
   out.stats.olc_restarts = restarts;
   VBT_RETURN_NOT_OK(s);
   return out;
@@ -1262,34 +1301,7 @@ Result<std::vector<QueryOutput>> VBTree::ExecuteSelectBatch(
     validation[i] = ValidateSelect(qs[i]);
   }
 
-  // Batch-scoped tuple memo: queries with overlapping envelopes share each
-  // replica-store read (and tuple deserialization) instead of re-fetching
-  // per query. Rids are dense and few per batch; an ordered map keeps this
-  // dependency-free. Fetches land in a per-attempt staging area first and
-  // merge into the committed memo only when the attempt's read set
-  // validates — a restarted (torn) read can never leak a tuple to its
-  // batch siblings.
-  std::map<std::pair<int32_t, uint16_t>, Tuple> memo;
-  std::map<std::pair<int32_t, uint16_t>, Tuple> staging;
-  size_t fetches = 0;
-  size_t hits = 0;
-  TupleFetcher shared_fetch = [&](const Rid& rid) -> Result<Tuple> {
-    auto key = std::make_pair(rid.page_id, rid.slot);
-    if (auto it = memo.find(key); it != memo.end()) {
-      hits++;
-      return it->second;
-    }
-    if (auto it = staging.find(key); it != staging.end()) return it->second;
-    auto tuple_or = fetch(rid);
-    if (!tuple_or.ok()) return tuple_or;
-    fetches++;
-    return staging.emplace(key, tuple_or.MoveValueUnsafe()).first->second;
-  };
-  std::function<void()> begin_attempt = [&] { staging.clear(); };
-  std::function<void()> commit_attempt = [&] {
-    memo.merge(staging);
-    staging.clear();
-  };
+  FetchMemo memo;
 
   // ONE epoch pin spans the whole batch — including every
   // label-convergence pass and the pessimistic fallback — because the
@@ -1308,9 +1320,9 @@ Result<std::vector<QueryOutput>> VBTree::ExecuteSelectBatch(
 
   auto run_one = [&](size_t i, bool under_fallback) {
     QueryOutput out;
-    Status s = RunSelectWithRestarts(qs[i], shared_fetch, under_fallback, &out,
+    Status s = RunSelectWithRestarts(qs[i], fetch, under_fallback, &out,
                                      &guards[i], &restarts, &latch_wait,
-                                     begin_attempt, commit_attempt);
+                                     &memo);
     out.status = s;
     if (!s.ok()) {
       // Partial VO state from a failed execution must not leak.
@@ -1383,8 +1395,8 @@ Result<std::vector<QueryOutput>> VBTree::ExecuteSelectBatch(
     for (const QueryOutput& o : outs) {
       batch_stats->nodes_visited += o.stats.nodes_visited;
     }
-    batch_stats->tuple_fetches += fetches;
-    batch_stats->shared_fetch_hits += hits;
+    batch_stats->tuple_fetches += memo.fetches;
+    batch_stats->shared_fetch_hits += memo.hits;
     batch_stats->olc_restarts += restarts;
     batch_stats->latch_wait_us += latch_wait;
     batch_stats->read_version = v_now;
@@ -1400,7 +1412,7 @@ Status VBTree::ResignRec(Node* node, const TupleFetcher& fetch) {
   if (node->is_leaf) {
     Leaf* leaf = MutableLeaf(node);
     for (LeafEntry& e : leaf->entries) {
-      VBT_ASSIGN_OR_RETURN(Tuple t, fetch(e.rid));
+      VBT_ASSIGN_OR_RETURN(Tuple t, fetch(e.key));
       if (t.key() != e.key) {
         return Status::Corruption("tuple key does not match leaf entry");
       }
@@ -1504,17 +1516,12 @@ Signature VBTree::binding_signature() const {
   return ColdRead(root_.load(std::memory_order_acquire))->binding;
 }
 
-VBTree::Node* VBTree::CloneSubtree(const Node* src, const RidRemap& remap,
-                                   VBTree* dst) const {
+VBTree::Node* VBTree::CloneSubtree(const Node* src, VBTree* dst) const {
   const NodeContent* c = ColdRead(src);
   if (src->is_leaf) {
     auto* leaf = new Leaf(*static_cast<const Leaf*>(c));
     leaf->struct_version = 0;
     leaf->binding.clear();
-    // Digest preimages bind db/table/attr/key/value — never the Rid — so
-    // remapping the tuple pointers into the child's heap leaves every
-    // copied signature valid verbatim.
-    for (LeafEntry& e : leaf->entries) e.rid = remap(e.rid);
     return new Node(dst->NextNodeId(), /*leaf=*/true, leaf);
   }
   const auto* src_in = static_cast<const Internal*>(c);
@@ -1525,14 +1532,14 @@ VBTree::Node* VBTree::CloneSubtree(const Node* src, const RidRemap& remap,
   in->keys = src_in->keys;
   in->children.reserve(src_in->children.size());
   for (const Node* ch : src_in->children) {
-    in->children.push_back(CloneSubtree(ch, remap, dst));
+    in->children.push_back(CloneSubtree(ch, dst));
   }
   return new Node(dst->NextNodeId(), /*leaf=*/false, in);
 }
 
 Result<std::unique_ptr<VBTree>> VBTree::CloneRange(std::string verify_name,
-                                                   int64_t lo, int64_t hi,
-                                                   const RidRemap& remap) const {
+                                                   int64_t lo,
+                                                   int64_t hi) const {
   if (signer_ == nullptr) {
     return Status::InvalidArgument(
         "CloneRange requires the signing key (central server only)");
@@ -1544,7 +1551,7 @@ Result<std::unique_ptr<VBTree>> VBTree::CloneRange(std::string verify_name,
   {
     std::shared_lock latch(writer_mu_);
     Node* new_root =
-        CloneSubtree(root_.load(std::memory_order_acquire), remap, child.get());
+        CloneSubtree(root_.load(std::memory_order_acquire), child.get());
     DeleteSubtree(child->root_.load(std::memory_order_relaxed));
     child->root_.store(new_root, std::memory_order_relaxed);
     child->size_.store(size_.load(std::memory_order_relaxed),
@@ -1815,8 +1822,6 @@ void VBTree::SerializeNode(const Node* node, ByteWriter* w) const {
     w->PutVarint(leaf->entries.size());
     for (const LeafEntry& e : leaf->entries) {
       w->PutI64(e.key);
-      w->PutU32(static_cast<uint32_t>(e.rid.page_id));
-      w->PutU16(e.rid.slot);
       w->PutBytes(e.tuple_digest.AsSlice());
       w->PutLengthPrefixed(Slice(e.tuple_sig.data(), e.tuple_sig.size()));
       w->PutVarint(e.attr_sigs.size());
@@ -1883,9 +1888,6 @@ Result<VBTree::Node*> VBTree::DeserializeNode(ByteReader* r,
     for (uint64_t i = 0; i < n; ++i) {
       LeafEntry e;
       VBT_ASSIGN_OR_RETURN(e.key, r->ReadI64());
-      VBT_ASSIGN_OR_RETURN(uint32_t page, r->ReadU32());
-      e.rid.page_id = static_cast<int32_t>(page);
-      VBT_ASSIGN_OR_RETURN(e.rid.slot, r->ReadU16());
       VBT_ASSIGN_OR_RETURN(Slice td, r->ReadBytes(kDigestLen));
       std::memcpy(e.tuple_digest.bytes.data(), td.data(), kDigestLen);
       VBT_ASSIGN_OR_RETURN(Slice ts, r->ReadLengthPrefixed());

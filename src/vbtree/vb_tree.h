@@ -12,7 +12,7 @@
 #include <utility>
 #include <vector>
 
-#include "btree/bplus_tree.h"
+#include "btree/btree_config.h"
 #include "catalog/tuple.h"
 #include "common/olc.h"
 #include "common/result.h"
@@ -140,10 +140,10 @@ struct QueryOutput {
 /// transaction.
 class VBTree {
  public:
-  /// Fetches the tuple behind a leaf-entry Rid; supplied by the edge
-  /// server (its table-heap replica — possibly tampered with, which the
-  /// client-side Verifier will expose).
-  using TupleFetcher = std::function<Result<Tuple>(const Rid&)>;
+  /// Fetches the row stored under a leaf entry's key; supplied by the
+  /// owner of the rows (RowStore::Fetcher — at an edge, a replica possibly
+  /// tampered with, which the client-side Verifier will expose).
+  using TupleFetcher = std::function<Result<Tuple>(int64_t key)>;
 
   VBTree(DigestSchema digest_schema, VBTreeOptions opts, Signer* signer,
          LockManager* lock_manager = nullptr);
@@ -154,12 +154,12 @@ class VBTree {
 
   /// Builds a packed tree from rows sorted by strictly increasing key,
   /// computing and signing every digest (attribute, tuple, node, root).
-  Status BulkLoad(std::span<const std::pair<Tuple, Rid>> rows);
+  Status BulkLoad(std::span<const Tuple> rows);
 
   /// Inserts one tuple (§3.4 Insert): digests along the root-to-leaf path
   /// are folded incrementally via D ← D^{t} mod n and re-signed; node
   /// splits trigger full recomputation of the affected nodes.
-  Status Insert(const Tuple& tuple, const Rid& rid, txn_id_t txn = 0);
+  Status Insert(const Tuple& tuple, txn_id_t txn = 0);
 
   /// Deletes all keys in [lo, hi] (§3.4 Delete): X-locks the path, removes
   /// the entries, then recomputes digests bottom-up. Nodes are freed only
@@ -233,19 +233,17 @@ class VBTree {
   Signature binding_signature() const;
 
   /// Deep-copies this tree — shells, snapshots, digests, signatures and
-  /// cached exponents, with every leaf Rid passed through `remap` — then
-  /// trims the copy to [lo, hi] with two boundary range-deletes and binds
-  /// `verify_name` over the result. Because digest preimages never
-  /// mention Rids, the remapped copy's signatures stay valid verbatim;
-  /// only the two root-to-boundary paths (plus the binding) are re-signed
-  /// — O(height), not O(rows), the whole point of incremental SplitShard.
+  /// cached exponents — then trims the copy to [lo, hi] with two boundary
+  /// range-deletes and binds `verify_name` over the result. Leaf entries
+  /// address rows by key, so the copy points at the same rows wherever
+  /// they are stored, and its signatures stay valid verbatim; only the
+  /// two root-to-boundary paths (plus the binding) are re-signed —
+  /// O(height), not O(rows), the whole point of incremental SplitShard.
   /// The returned tree starts at version 0 with this tree's key version.
   /// Caller must quiesce writers on this tree (the copy holds writer_mu_
   /// shared, but a sound split wants a drained DML queue anyway).
-  using RidRemap = std::function<Rid(const Rid&)>;
   Result<std::unique_ptr<VBTree>> CloneRange(std::string verify_name,
-                                             int64_t lo, int64_t hi,
-                                             const RidRemap& remap) const;
+                                             int64_t lo, int64_t hi) const;
 
   /// Signer invocations this tree has made (attribute/tuple/node/binding
   /// signatures), monotone. The split-cost gate: after CloneRange the
@@ -383,8 +381,7 @@ class VBTree {
   /// signatures from `sig_feed` in the order the central server recorded
   /// them. Fails with kCorruption if the feed is too short or not fully
   /// consumed.
-  Status ReplayInsert(const Tuple& tuple, const Rid& rid,
-                      const SignedEntryMaterial& material,
+  Status ReplayInsert(const Tuple& tuple, const SignedEntryMaterial& material,
                       std::deque<Signature>* sig_feed);
 
   /// Edge-side replay of one range delete.
@@ -399,6 +396,7 @@ class VBTree {
   struct Node;      // versioned shell: word + content pointer
   struct ReadGuard;
   struct WriteCtx;
+  struct FetchMemo;
 
   struct SplitResult {
     int64_t separator;
@@ -450,12 +448,11 @@ class VBTree {
   /// stays deterministic.
   Status RefreshBindingForCommit();
   /// CloneRange's recursive deep copy into `dst` (fresh shell ids,
-  /// remapped Rids, binding fields cleared).
-  Node* CloneSubtree(const Node* src, const RidRemap& remap,
-                     VBTree* dst) const;
+  /// binding fields cleared).
+  Node* CloneSubtree(const Node* src, VBTree* dst) const;
 
   // --- build helpers ---
-  Result<LeafEntry> MakeLeafEntry(const Tuple& tuple, const Rid& rid);
+  Result<LeafEntry> MakeLeafEntry(const Tuple& tuple);
 
   Result<InsertOutcome> InsertRec(Node* node, LeafEntry entry,
                                   const Digest& tuple_digest);
@@ -481,15 +478,13 @@ class VBTree {
   /// attempt, validates root pointer + read set against the loaded
   /// version label, yields between repeated restarts, and escalates to
   /// a shared writer_mu_ acquisition after kMaxOptimisticAttempts.
-  /// `attempt_begin` / `attempt_commit` bracket the batch fetch-memo
-  /// staging; `keep` (optional) receives the validated read set.
+  /// `memo` (batches only) serves fetches and commits an attempt's
+  /// staged rows once it validates; `keep` (optional) receives the
+  /// validated read set.
   Status RunSelectWithRestarts(const SelectQuery& q, const TupleFetcher& fetch,
                                bool under_fallback, QueryOutput* out,
                                ReadGuard* keep, uint64_t* restarts,
-                               uint64_t* latch_wait_us,
-                               const std::function<void()>& attempt_begin,
-                               const std::function<void()>& attempt_commit)
-      const;
+                               uint64_t* latch_wait_us, FetchMemo* memo) const;
   bool ConsumeInjectedRestart() const;
   /// Descends to the LCA of the range's two path ends. `g` may be null
   /// for cold callers holding writer_mu_.

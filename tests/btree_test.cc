@@ -1,16 +1,9 @@
 #include <gtest/gtest.h>
 
-#include <map>
-
-#include "btree/bplus_tree.h"
-#include "common/random.h"
+#include "btree/btree_config.h"
 
 namespace vbtree {
 namespace {
-
-Rid MakeRid(int64_t k) {
-  return Rid{static_cast<int32_t>(k / 100), static_cast<uint16_t>(k % 100)};
-}
 
 TEST(BTreeConfigTest, FanOutFormulas) {
   // Defaults of Table 1: |B|=4096, |K|=16, |P|=4, |s|=16.
@@ -43,162 +36,6 @@ TEST(BTreeConfigTest, PackedHeight) {
   EXPECT_EQ(BTreeConfig::PackedHeight(10000, 100), 2);
   EXPECT_EQ(BTreeConfig::PackedHeight(10001, 100), 3);
 }
-
-TEST(BPlusTreeTest, EmptyTreeBehaviour) {
-  BPlusTree tree;
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.height(), 1);
-  EXPECT_TRUE(tree.Lookup(1).status().IsNotFound());
-  EXPECT_TRUE(tree.Remove(1).IsNotFound());
-  EXPECT_TRUE(tree.Scan(0, 100).empty());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-TEST(BPlusTreeTest, InsertLookupSmall) {
-  BPlusTree tree;
-  for (int64_t k : {5, 1, 9, 3, 7}) {
-    ASSERT_TRUE(tree.Insert(k, MakeRid(k)).ok());
-  }
-  EXPECT_EQ(tree.size(), 5u);
-  for (int64_t k : {1, 3, 5, 7, 9}) {
-    auto rid = tree.Lookup(k);
-    ASSERT_TRUE(rid.ok());
-    EXPECT_EQ(*rid, MakeRid(k));
-  }
-  EXPECT_TRUE(tree.Lookup(2).status().IsNotFound());
-}
-
-TEST(BPlusTreeTest, DuplicateInsertRejected) {
-  BPlusTree tree;
-  ASSERT_TRUE(tree.Insert(1, MakeRid(1)).ok());
-  EXPECT_EQ(tree.Insert(1, MakeRid(1)).code(), StatusCode::kAlreadyExists);
-  EXPECT_EQ(tree.size(), 1u);
-}
-
-TEST(BPlusTreeTest, SplitsGrowHeight) {
-  BTreeConfig config;
-  config.max_internal = 4;
-  config.max_leaf = 4;
-  BPlusTree tree(config);
-  for (int64_t k = 0; k < 100; ++k) {
-    ASSERT_TRUE(tree.Insert(k, MakeRid(k)).ok());
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << "after insert " << k;
-  }
-  EXPECT_GE(tree.height(), 3);
-  for (int64_t k = 0; k < 100; ++k) {
-    EXPECT_TRUE(tree.Lookup(k).ok()) << k;
-  }
-}
-
-TEST(BPlusTreeTest, ScanReturnsSortedRange) {
-  BTreeConfig config;
-  config.max_internal = 4;
-  config.max_leaf = 4;
-  BPlusTree tree(config);
-  Rng rng(7);
-  std::set<int64_t> keys;
-  while (keys.size() < 200) {
-    int64_t k = static_cast<int64_t>(rng.Uniform(10000));
-    if (keys.insert(k).second) {
-      ASSERT_TRUE(tree.Insert(k, MakeRid(k)).ok());
-    }
-  }
-  auto hits = tree.Scan(2500, 7500);
-  std::vector<int64_t> expect;
-  for (int64_t k : keys) {
-    if (k >= 2500 && k <= 7500) expect.push_back(k);
-  }
-  ASSERT_EQ(hits.size(), expect.size());
-  for (size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].first, expect[i]);
-    EXPECT_EQ(hits[i].second, MakeRid(expect[i]));
-  }
-}
-
-TEST(BPlusTreeTest, ScanEmptyAndInvertedRanges) {
-  BPlusTree tree;
-  ASSERT_TRUE(tree.Insert(10, MakeRid(10)).ok());
-  EXPECT_TRUE(tree.Scan(20, 30).empty());
-  EXPECT_TRUE(tree.Scan(30, 20).empty());
-  EXPECT_EQ(tree.Scan(10, 10).size(), 1u);
-}
-
-TEST(BPlusTreeTest, RemoveToEmptyAndReuse) {
-  BTreeConfig config;
-  config.max_internal = 4;
-  config.max_leaf = 4;
-  BPlusTree tree(config);
-  for (int64_t k = 0; k < 50; ++k) ASSERT_TRUE(tree.Insert(k, MakeRid(k)).ok());
-  for (int64_t k = 0; k < 50; ++k) {
-    ASSERT_TRUE(tree.Remove(k).ok()) << k;
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << "after remove " << k;
-  }
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.height(), 1);
-  // The tree remains usable after total erasure.
-  ASSERT_TRUE(tree.Insert(5, MakeRid(5)).ok());
-  EXPECT_TRUE(tree.Lookup(5).ok());
-}
-
-TEST(BPlusTreeTest, RemoveCollapsesRoot) {
-  BTreeConfig config;
-  config.max_internal = 4;
-  config.max_leaf = 4;
-  BPlusTree tree(config);
-  for (int64_t k = 0; k < 100; ++k) ASSERT_TRUE(tree.Insert(k, MakeRid(k)).ok());
-  int full_height = tree.height();
-  for (int64_t k = 0; k < 95; ++k) ASSERT_TRUE(tree.Remove(k).ok());
-  EXPECT_LT(tree.height(), full_height);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
-}
-
-/// Randomized differential test against std::map across seeds.
-class BTreeFuzz : public ::testing::TestWithParam<int> {};
-
-TEST_P(BTreeFuzz, MatchesReferenceUnderRandomOps) {
-  BTreeConfig config;
-  config.max_internal = 6;
-  config.max_leaf = 6;
-  BPlusTree tree(config);
-  std::map<int64_t, Rid> reference;
-  Rng rng(1000 + GetParam());
-
-  for (int op = 0; op < 3000; ++op) {
-    int64_t k = static_cast<int64_t>(rng.Uniform(500));
-    switch (rng.Uniform(3)) {
-      case 0: {  // insert
-        bool in_ref = reference.count(k) > 0;
-        Status s = tree.Insert(k, MakeRid(k));
-        EXPECT_EQ(s.ok(), !in_ref);
-        if (s.ok()) reference[k] = MakeRid(k);
-        break;
-      }
-      case 1: {  // remove
-        bool in_ref = reference.erase(k) > 0;
-        EXPECT_EQ(tree.Remove(k).ok(), in_ref);
-        break;
-      }
-      case 2: {  // lookup
-        auto rid = tree.Lookup(k);
-        EXPECT_EQ(rid.ok(), reference.count(k) > 0);
-        break;
-      }
-    }
-  }
-  ASSERT_TRUE(tree.CheckInvariants().ok());
-  EXPECT_EQ(tree.size(), reference.size());
-
-  auto all = tree.Scan(std::numeric_limits<int64_t>::min(),
-                       std::numeric_limits<int64_t>::max());
-  ASSERT_EQ(all.size(), reference.size());
-  auto it = reference.begin();
-  for (const auto& [k, rid] : all) {
-    EXPECT_EQ(k, it->first);
-    ++it;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, BTreeFuzz, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace vbtree

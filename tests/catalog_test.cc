@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 #include "catalog/catalog.h"
 #include "catalog/schema.h"
 #include "catalog/tuple.h"
 #include "catalog/value.h"
+#include "common/serde.h"
+#include "storage/row_store.h"
 
 namespace vbtree {
 namespace {
@@ -137,6 +142,53 @@ TEST(CatalogTest, ViewsAreMarked) {
   ASSERT_TRUE(
       cat.CreateTable("v", Schema({{"id", TypeId::kInt64}}), true).ok());
   EXPECT_TRUE((*cat.GetTable("v"))->is_view);
+}
+
+Tuple Row(int64_t key, const std::string& name) {
+  return Tuple({Value::Int(key), Value::Str(name)});
+}
+
+TEST(RowStoreTest, RowsAreAddressedByKeyAcrossStripes) {
+  Schema schema({{"id", TypeId::kInt64}, {"name", TypeId::kString}});
+  RowStore store(schema);
+  for (int64_t k = 0; k < 100; ++k) store.Put(Row(k, "v" + std::to_string(k)));
+  store.Put(Row(42, "replaced"));
+  EXPECT_EQ(store.size(), 100u);
+  auto got = store.Get(42);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, Row(42, "replaced"));
+
+  std::vector<int64_t> removed = store.RemoveKeyRange(10, 19);
+  std::sort(removed.begin(), removed.end());
+  std::vector<int64_t> expect(10);
+  for (int64_t i = 0; i < 10; ++i) expect[i] = 10 + i;
+  EXPECT_EQ(removed, expect);
+  EXPECT_EQ(store.size(), 90u);
+  EXPECT_TRUE(store.Get(15).status().IsNotFound());
+  EXPECT_TRUE(store.RemoveKeyRange(10, 19).empty());
+
+  // Scan hands out each stored row once, as the bytes Put encoded.
+  std::set<int64_t> seen;
+  store.Scan([&](int64_t key, Slice bytes) {
+    EXPECT_TRUE(seen.insert(key).second) << key;
+    ByteReader r(bytes);
+    auto row = Tuple::Deserialize(&r, schema);
+    ASSERT_TRUE(row.ok());
+    EXPECT_EQ(row->key(), key);
+  });
+  EXPECT_EQ(seen.size(), 90u);
+}
+
+TEST(RowStoreTest, TamperRewritesOneStoredAttribute) {
+  RowStore store(Schema({{"id", TypeId::kInt64}, {"name", TypeId::kString}}));
+  store.Put(Row(7, "honest"));
+  EXPECT_TRUE(store.TamperByKey(8, 1, Value::Str("x")).IsNotFound());
+  EXPECT_EQ(store.TamperByKey(7, 2, Value::Str("x")).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(store.TamperByKey(7, 1, Value::Str("EVIL")).ok());
+  auto got = store.Get(7);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, Row(7, "EVIL"));
 }
 
 }  // namespace

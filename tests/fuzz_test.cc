@@ -437,6 +437,26 @@ TEST_P(WireFuzz, MutatedDeltasNeverCorruptSilently) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, WireFuzz, ::testing::Range(0, 6));
 
+/// A snapshot's rows are addressed by their INT64 key column; a schema
+/// without one must be rejected at install, not dereferenced.
+TEST(SnapshotDecodeTest, SchemaWithoutIntegerKeyIsRejected) {
+  const std::pair<Schema, Tuple> keyless[] = {
+      {Schema({{"name", TypeId::kString}}), Tuple({Value::Str("no-key")})},
+      {Schema(std::vector<Column>{}), Tuple()}};
+  for (const auto& [schema, row] : keyless) {
+    ByteWriter w;
+    w.PutU32(0x50414E53);  // "SNAP"
+    w.PutString("t");
+    schema.Serialize(&w);
+    w.PutVarint(1);
+    row.Serialize(&w);
+    EdgeServer edge("edge");
+    EXPECT_EQ(edge.InstallSnapshot(Slice(w.buffer())).code(),
+              StatusCode::kCorruption)
+        << schema.num_columns() << " columns";
+  }
+}
+
 TEST(AuditTest, CleanReplicaPassesAudit) {
   auto db = testutil::MakeTestDb(300, 4, 8);
   ASSERT_NE(db, nullptr);

@@ -90,8 +90,8 @@ TEST(IntegrationTest, MeasuredVsModelCommunicationShape) {
   auto db = testutil::MakeTestDb(kTuples, 10, 114);
   ASSERT_NE(db, nullptr);
   NaiveStore naive(db->MakeDigestSchema(), db->signer.get());
-  for (auto it = db->heap->Begin(); it.Valid(); it.Next()) {
-    auto t = it.Get();
+  for (int64_t key : db->tree->AllKeys()) {
+    auto t = db->store->Get(key);
     ASSERT_TRUE(t.ok());
     ASSERT_TRUE(naive.Load(*t).ok());
   }
@@ -125,8 +125,8 @@ TEST(IntegrationTest, MeasuredVsModelComputationShape) {
   auto db = testutil::MakeTestDb(kTuples, 10, 114);
   ASSERT_NE(db, nullptr);
   NaiveStore naive(db->MakeDigestSchema(), db->signer.get());
-  for (auto it = db->heap->Begin(); it.Valid(); it.Next()) {
-    auto t = it.Get();
+  for (int64_t key : db->tree->AllKeys()) {
+    auto t = db->store->Get(key);
     ASSERT_TRUE(t.ok());
     ASSERT_TRUE(naive.Load(*t).ok());
   }

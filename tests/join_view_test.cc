@@ -8,9 +8,9 @@
 namespace vbtree {
 namespace {
 
-/// Orders(id, cust_ref, item) joined with Customers(id, name) on
-/// orders.cust_ref = customers.id.
-class JoinViewTest : public ::testing::Test {
+/// Orders(id, cust_ref, item) and Customers(id, name): 100 orders, each
+/// referencing one of 20 customers (order o -> customer o % 20).
+class BaseTablesTest : public ::testing::Test {
  protected:
   void SetUp() override {
     CentralServer::Options opts;
@@ -38,17 +38,45 @@ class JoinViewTest : public ::testing::Test {
     }
     ASSERT_TRUE(central_->LoadTable("orders", order_rows).ok());
     ASSERT_TRUE(central_->LoadTable("customers", customer_rows).ok());
+  }
 
+  /// Joins orders.cust_ref = customers.id.
+  Status CreateView(const std::string& view_name) {
     JoinSpec spec;
-    spec.view_name = "orders_customers";
+    spec.view_name = view_name;
     spec.left_table = "orders";
     spec.right_table = "customers";
     spec.left_col = 1;   // cust_ref
     spec.right_col = 0;  // customers.id
-    ASSERT_TRUE(central_->CreateJoinView(spec).ok());
+    return central_->CreateJoinView(spec);
+  }
+
+  /// The row count an exported snapshot ships: the varint that follows
+  /// its magic, name and schema.
+  uint64_t SnapshotRowCount(const std::string& name) const {
+    auto snapshot = central_->ExportTableSnapshot(name);
+    EXPECT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+    if (!snapshot.ok()) return 0;
+    ByteReader r((Slice(*snapshot)));
+    EXPECT_TRUE(r.ReadU32().ok());
+    EXPECT_TRUE(r.ReadString().ok());
+    EXPECT_TRUE(Schema::Deserialize(&r).ok());
+    auto count = r.ReadVarint();
+    EXPECT_TRUE(count.ok());
+    return count.ok() ? *count : 0;
   }
 
   std::unique_ptr<CentralServer> central_;
+};
+
+/// The base tables with the "orders_customers" view over them.
+class JoinViewTest : public BaseTablesTest {
+ protected:
+  void SetUp() override {
+    BaseTablesTest::SetUp();
+    if (HasFatalFailure()) return;
+    ASSERT_TRUE(CreateView("orders_customers").ok());
+  }
 };
 
 TEST_F(JoinViewTest, MaterializesAllMatches) {
@@ -223,6 +251,81 @@ TEST_F(JoinViewTest, ViewStaysVerifiableAfterMaintenance) {
   auto result = client.Query(&edge, q, 10, nullptr);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->verification.ok()) << result->verification.ToString();
+}
+
+// ---------------------------------------------------------------------------
+// A deleted or rejected row must leave no trace: not in the snapshots the
+// edges receive, not in a view materialized later, and not as a second
+// join partner for a key that came back.
+// ---------------------------------------------------------------------------
+
+TEST_F(BaseTablesTest, DeletedRowsLeaveTheSnapshot) {
+  auto removed = central_->DeleteRange("orders", 10, 99);
+  ASSERT_TRUE(removed.ok());
+  EXPECT_EQ(*removed, 90u);
+  EXPECT_EQ(SnapshotRowCount("orders"), 10u);
+}
+
+TEST_F(BaseTablesTest, ViewCreatedAfterADeleteJoinsOnlyLiveRows) {
+  ASSERT_TRUE(central_->DeleteRange("orders", 10, 99).ok());
+  ASSERT_TRUE(CreateView("orders_customers").ok());
+  auto view = central_->GetJoinView("orders_customers");
+  ASSERT_TRUE(view.ok());
+  EXPECT_EQ((*view)->row_count(), 10u);
+  EXPECT_EQ((*view)->tree()->size(), 10u);
+  EXPECT_EQ(SnapshotRowCount("orders_customers"), 10u);
+}
+
+TEST_F(JoinViewTest, ReinsertedCustomerJoinsOnlyUnderItsNewName) {
+  ASSERT_TRUE(central_->DeleteRange("customers", 5, 5).ok());
+  ASSERT_TRUE(central_
+                  ->InsertTuple("customers",
+                                Tuple({Value::Int(5), Value::Str("renamed")}))
+                  .ok());
+  auto view = central_->GetJoinView("orders_customers");
+  ASSERT_TRUE(view.ok());
+  const size_t before = (*view)->row_count();
+  ASSERT_TRUE(central_
+                  ->InsertTuple("orders", Tuple({Value::Int(700), Value::Int(5),
+                                                 Value::Str("late")}))
+                  .ok());
+  EXPECT_EQ((*view)->row_count(), before + 1);
+
+  // The one new view row joins order 700 with the customer's new name.
+  EdgeServer edge("edge-1");
+  ASSERT_TRUE(
+      testutil::Publish(central_.get(), "orders_customers", &edge).ok());
+  Client client(central_->db_name(), central_->key_directory());
+  client.RegisterTable("orders_customers", (*view)->schema());
+  SelectQuery q;
+  q.table = "orders_customers";
+  q.range = KeyRange{0, 10000};
+  auto result = client.Query(&edge, q, 10, nullptr);
+  ASSERT_TRUE(result.ok());
+  ASSERT_TRUE(result->verification.ok()) << result->verification.ToString();
+  std::vector<std::string> names;
+  for (const ResultRow& row : result->rows) {
+    // View columns: view_id, l_id, l_cust_ref, l_item, r_id, r_name.
+    if (row.values[1] == Value::Int(700)) {
+      names.push_back(row.values[5].AsString());
+    }
+  }
+  EXPECT_EQ(names, std::vector<std::string>{"renamed"});
+}
+
+TEST_F(BaseTablesTest, RejectedDuplicateInsertStoresNothing) {
+  Schema schema({{"id", TypeId::kInt64}, {"name", TypeId::kString}});
+  ASSERT_TRUE(central_->CreateTable("ten", schema).ok());
+  std::vector<Tuple> rows;
+  for (int64_t k = 0; k < 10; ++k) {
+    rows.push_back(Tuple({Value::Int(k), Value::Str("row")}));
+  }
+  ASSERT_TRUE(central_->LoadTable("ten", rows).ok());
+  EXPECT_EQ(central_->InsertTuple("ten", Tuple({Value::Int(3),
+                                                Value::Str("dup")}))
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(SnapshotRowCount("ten"), 10u);
 }
 
 TEST_F(JoinViewTest, DuplicateViewNameRejected) {

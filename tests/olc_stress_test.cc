@@ -12,12 +12,15 @@
 // races the version-validation protocol might otherwise hide.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "edge/client.h"
-#include "edge/replica_store.h"
+#include "edge/query_service/query_service.h"
+#include "storage/row_store.h"
 #include "tests/testutil.h"
 
 namespace vbtree {
@@ -26,23 +29,15 @@ namespace {
 using testutil::MakeTuple;
 using testutil::MakeWideSchema;
 
-/// Synthetic Rid for key-addressed stress tuples (no TableHeap: the
-/// striped ReplicaStore is the thread-safe fetch target the edge layer
-/// actually uses under concurrency).
-Rid RidFor(int64_t key) {
-  return Rid{static_cast<int32_t>(key >> 16),
-             static_cast<uint16_t>(key & 0xFFFF)};
-}
-
-/// Central-in-miniature over a ReplicaStore: signer-owning VB-tree whose
-/// leaf Rids resolve through the striped store, so readers can fetch
+/// Central-in-miniature over a RowStore: signer-owning VB-tree whose
+/// leaf keys resolve through the striped store, so readers can fetch
 /// while a writer concurrently Puts (publication order: store first,
 /// then tree — same discipline as edge delta replay).
 struct StressDb {
   Schema schema = MakeWideSchema(4);
   SimSigner signer{/*key_seed=*/7};
   SimRecoverer recoverer{signer.key_material()};
-  ReplicaStore store;
+  RowStore store{schema};
   std::unique_ptr<VBTree> tree;
   size_t base = 0;
 
@@ -54,15 +49,9 @@ struct StressDb {
                     opts.modulus_bits);
     tree = std::make_unique<VBTree>(std::move(ds), opts, &signer);
     Rng rng(42);
-    std::vector<std::pair<Tuple, Rid>> pairs;
-    pairs.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      Tuple t = MakeTuple(schema, static_cast<int64_t>(i), &rng);
-      Rid rid = RidFor(static_cast<int64_t>(i));
-      EXPECT_TRUE(store.Put(rid, t).ok());
-      pairs.emplace_back(std::move(t), rid);
-    }
-    EXPECT_TRUE(tree->BulkLoad(pairs).ok());
+    std::vector<Tuple> rows = testutil::MakeRows(schema, n, &rng);
+    for (const Tuple& t : rows) store.Put(t);
+    EXPECT_TRUE(tree->BulkLoad(rows).ok());
   }
 
   Verifier MakeVerifier() {
@@ -83,9 +72,8 @@ struct StressDb {
   Status InsertChurn(int64_t seq, Rng* rng) {
     int64_t key = static_cast<int64_t>(base) + seq;
     Tuple t = MakeTuple(schema, key, rng);
-    Status put = store.Put(RidFor(key), t);
-    if (!put.ok()) return put;
-    return tree->Insert(t, RidFor(key));
+    store.Put(t);
+    return tree->Insert(t);
   }
 };
 
@@ -246,8 +234,8 @@ TEST(OLCStressTest, ReadersStableUnderSplitsAndMerges) {
       for (int64_t i = 0; i < 40; ++i) {
         int64_t key = scratch_lo + i;
         Tuple t = MakeTuple(db.schema, key, &rng);
-        ASSERT_TRUE(db.store.Put(RidFor(key), t).ok());
-        ASSERT_TRUE(db.tree->Insert(t, RidFor(key)).ok());
+        db.store.Put(t);
+        ASSERT_TRUE(db.tree->Insert(t).ok());
       }
       auto removed = db.tree->DeleteRange(scratch_lo, scratch_lo + 40);
       ASSERT_TRUE(removed.ok());
@@ -485,6 +473,166 @@ TEST(OLCStressTest, SnapshotInstallRacesVerifiedQueries) {
   churn.join();
   for (auto& t : readers) t.join();
   EXPECT_EQ(edge.TableVersion("items"), 30u);
+}
+
+// ---------------------------------------------------------------------------
+// Row-address reuse, deterministically: a key deleted and re-inserted
+// between a batch's first execution and its label-convergence re-run is a
+// different row at the same address, and the fetch memo must not serve
+// the re-run the first incarnation's row.
+// ---------------------------------------------------------------------------
+
+TEST(OLCStressTest, FetchMemoNeverServesAnEarlierIncarnation) {
+  StressDb db(128);
+  Rng rng(7005);
+  // Overlapping slots: the second is served key 40 from the memo.
+  std::vector<SelectQuery> queries = {db.RangeQuery(0, 63),
+                                      db.RangeQuery(32, 95)};
+  const Tuple reborn = MakeTuple(db.schema, 40, &rng);
+  int hooked = 0;
+  db.tree->SetBatchLabelHookForTest([&](int pass, bool pre_fallback_lock) {
+    if (pass != 0 || pre_fallback_lock) return;
+    hooked++;
+    // Edge replay order: tree before store on delete, store before tree
+    // on insert.
+    ASSERT_TRUE(db.tree->DeleteRange(40, 40).ok());
+    db.store.RemoveKeyRange(40, 40);
+    db.store.Put(reborn);
+    ASSERT_TRUE(db.tree->Insert(reborn).ok());
+  });
+  VBBatchStats bs;
+  auto outs = db.tree->ExecuteSelectBatch(queries, db.store.Fetcher(), &bs);
+  db.tree->SetBatchLabelHookForTest(nullptr);
+  ASSERT_TRUE(outs.ok()) << outs.status().ToString();
+  ASSERT_EQ(hooked, 1);
+  EXPECT_EQ(bs.read_version, 2u);
+
+  Verifier v = db.MakeVerifier();
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const QueryOutput& out = (*outs)[i];
+    ASSERT_TRUE(out.status.ok()) << out.status.ToString();
+    EXPECT_TRUE(v.VerifySelect(queries[i], out.rows, out.vo).ok())
+        << "slot " << i;
+    for (const ResultRow& row : out.rows) {
+      if (row.key == 40) {
+        EXPECT_EQ(row.values, reborn.values()) << "slot " << i;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Row-address reuse under load: rows are addressed by key, so a key
+// deleted and re-inserted with a new value is a new row at an old
+// address. Edge replay removes a row only after the tree's delete
+// commits and Puts the new row before the tree publishes it, so every
+// verified answer labeled v must carry exactly the value the key held
+// at version v. Each batch asks for the key from eight overlapping
+// queries, so the batch fetch memo is asked for it across the replays
+// too.
+// ---------------------------------------------------------------------------
+
+TEST(OLCStressTest, ReusedRowAddressServesOnlyItsLabeledValue) {
+  CentralServer::Options opts;
+  opts.tree_opts.config.max_internal = 8;
+  opts.tree_opts.config.max_leaf = 8;
+  auto central_or = CentralServer::Create(opts);
+  ASSERT_TRUE(central_or.ok());
+  std::unique_ptr<CentralServer> central = central_or.MoveValueUnsafe();
+
+  Schema schema = MakeWideSchema(4);
+  ASSERT_TRUE(central->CreateTable("items", schema).ok());
+  Rng rng(42);
+  std::vector<Tuple> rows = testutil::MakeRows(schema, 200, &rng);
+  constexpr int64_t kKey = 100;
+  constexpr int kRounds = 60;
+  // oracle[v] is the row kKey holds at replica version v: round r deletes
+  // it (version 2r+1) and re-inserts it under a new value (version 2r+2).
+  std::vector<std::optional<Tuple>> oracle = {rows[kKey]};
+  for (int r = 0; r < kRounds; ++r) {
+    Tuple next = rows[kKey];
+    next.set_value(1, Value::Str("incarnation-" + std::to_string(r)));
+    oracle.push_back(std::nullopt);
+    oracle.push_back(std::move(next));
+  }
+  ASSERT_TRUE(central->LoadTable("items", rows).ok());
+
+  EdgeServer edge("edge-1");
+  ASSERT_TRUE(testutil::Publish(central.get(), "items", &edge).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> answered{0};
+  std::atomic<int> readers_live{2};
+  // The bodies return early on a failed ASSERT; the threads around them
+  // still signal, so neither side waits on a peer that gave up.
+  auto churn_rounds = [&] {
+    for (int r = 0; r < kRounds; ++r) {
+      // Pace the rounds by the readers, so every replay lands among
+      // batches in flight.
+      const uint64_t seen = answered.load();
+      while (answered.load() == seen && readers_live.load() > 0) {
+        std::this_thread::yield();
+      }
+      auto removed = central->DeleteRange("items", kKey, kKey);
+      ASSERT_TRUE(removed.ok() && *removed == 1u);
+      ASSERT_TRUE(central->InsertTuple("items", *oracle[2 * r + 2]).ok());
+      // One delta: the edge replays the delete and the re-insert back to
+      // back, inside the window of a batch already under way.
+      ASSERT_TRUE(testutil::PublishDelta(central.get(), "items", &edge).ok());
+    }
+  };
+  auto read_until_done = [&] {
+    Client client(central->db_name(), central->key_directory());
+    client.RegisterTable("items", schema);
+    QueryService service(&edge, QueryServiceOptions{1, 64});
+    QueryBatch batch;
+    batch.table = "items";
+    for (int64_t lo = kKey - 35; lo <= kKey; lo += 5) {
+      SelectQuery q;
+      q.table = "items";
+      q.range = KeyRange{lo, lo + 40};
+      batch.queries.push_back(std::move(q));
+    }
+    int laps_after_done = 0;
+    while (laps_after_done < 2) {
+      if (done.load(std::memory_order_acquire)) laps_after_done++;
+      auto res = client.QueryBatched(&service, batch, /*now=*/10);
+      answered.fetch_add(1);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      const uint64_t v = res->replica_version;
+      ASSERT_LT(v, oracle.size());
+      for (const Client::Verified& answer : res->results) {
+        ASSERT_TRUE(answer.verification.ok())
+            << answer.verification.ToString();
+        auto row = std::find_if(
+            answer.rows.begin(), answer.rows.end(),
+            [&](const ResultRow& r) { return r.key == kKey; });
+        if (!oracle[v].has_value()) {
+          ASSERT_EQ(row, answer.rows.end())
+              << "key present at version " << v << ", where it is deleted";
+        } else {
+          ASSERT_NE(row, answer.rows.end()) << "key missing at version " << v;
+          ASSERT_EQ(row->values, oracle[v]->values())
+              << "another incarnation's row served at version " << v;
+        }
+      }
+    }
+  };
+
+  std::thread churn([&] {
+    churn_rounds();
+    done = true;
+  });
+  std::vector<std::thread> readers;
+  for (int r = 0; r < 2; ++r) {
+    readers.emplace_back([&] {
+      read_until_done();
+      readers_live.fetch_sub(1);
+    });
+  }
+  churn.join();
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(edge.TableVersion("items"), 2u * kRounds);
 }
 
 }  // namespace

@@ -102,9 +102,8 @@ TEST_P(PaperInvariants, RootDigestInsensitiveToInsertionOrder) {
     for (int64_t k : order) {
       Rng per_key(static_cast<uint64_t>(k) * 977 + 13);
       Tuple t = testutil::MakeTuple(db->schema, k, &per_key);
-      auto rid = db->heap->Insert(t);
-      VBT_CHECK(rid.ok());
-      VBT_CHECK(db->tree->Insert(t, *rid).ok());
+      VBT_CHECK(db->tree->Insert(t).ok());
+      db->store->Put(t);
     }
     (void)value_rng;
     return db->tree->root_digest();
@@ -118,15 +117,13 @@ TEST_P(PaperInvariants, RootDigestInsensitiveToInsertionOrder) {
   // verify the sorted-insert tree reproduces the bulk-load digest.
   auto db_bulk = MakeTestDb(0, 4, 6);
   ASSERT_NE(db_bulk, nullptr);
-  std::vector<std::pair<Tuple, Rid>> rows;
+  std::vector<Tuple> rows;
   for (int64_t k : keys) {
     Rng per_key(static_cast<uint64_t>(k) * 977 + 13);
-    Tuple t = testutil::MakeTuple(db_bulk->schema, k, &per_key);
-    auto rid = db_bulk->heap->Insert(t);
-    ASSERT_TRUE(rid.ok());
-    rows.emplace_back(std::move(t), *rid);
+    rows.push_back(testutil::MakeTuple(db_bulk->schema, k, &per_key));
   }
   ASSERT_TRUE(db_bulk->tree->BulkLoad(rows).ok());
+  for (const Tuple& t : rows) db_bulk->store->Put(t);
   // All three trees hold the same data; all must verify queries
   // equivalently even when shapes (and hence root digests) differ.
   (void)in_order;

@@ -13,10 +13,7 @@
 #include "edge/edge_server.h"
 #include "edge/propagation/fault_transport.h"
 #include "edge/propagation/transport.h"
-#include "query/executor.h"
-#include "storage/buffer_pool.h"
-#include "storage/disk_manager.h"
-#include "storage/table_heap.h"
+#include "storage/row_store.h"
 #include "vbtree/vb_tree.h"
 #include "vbtree/verifier.h"
 
@@ -58,13 +55,11 @@ inline std::vector<Tuple> MakeRows(const Schema& schema, size_t n,
   return rows;
 }
 
-/// A self-contained "central server in miniature" for unit tests: heap +
+/// A self-contained "central server in miniature" for unit tests: rows +
 /// VB-tree + SimSigner + matching verifier parts.
 struct TestDb {
   Schema schema;
-  std::unique_ptr<InMemoryDiskManager> disk;
-  std::unique_ptr<BufferPool> pool;
-  std::unique_ptr<TableHeap> heap;
+  std::unique_ptr<RowStore> store;
   std::unique_ptr<SimSigner> signer;
   std::unique_ptr<SimRecoverer> recoverer;
   std::unique_ptr<VBTree> tree;
@@ -79,9 +74,7 @@ struct TestDb {
 
   Verifier MakeVerifier() { return Verifier(MakeDigestSchema(), recoverer.get()); }
 
-  VBTree::TupleFetcher Fetcher() const {
-    return Executor::FetcherFor(heap.get());
-  }
+  VBTree::TupleFetcher Fetcher() const { return store->Fetcher(); }
 };
 
 /// Caller-driven snapshot shipping for tests that exercise the wire
@@ -146,11 +139,7 @@ inline std::unique_ptr<TestDb> MakeTestDb(size_t n, size_t ncols = 10,
   auto db = std::make_unique<TestDb>();
   db->table_name = table_name;
   db->schema = MakeWideSchema(ncols);
-  db->disk = std::make_unique<InMemoryDiskManager>();
-  db->pool = std::make_unique<BufferPool>(4096, db->disk.get());
-  auto heap_or = TableHeap::Create(db->pool.get(), db->schema);
-  if (!heap_or.ok()) return nullptr;
-  db->heap = heap_or.MoveValueUnsafe();
+  db->store = std::make_unique<RowStore>(db->schema);
   db->signer = std::make_unique<SimSigner>(/*key_seed=*/7);
   db->recoverer = std::make_unique<SimRecoverer>(db->signer->key_material());
 
@@ -163,14 +152,8 @@ inline std::unique_ptr<TestDb> MakeTestDb(size_t n, size_t ncols = 10,
 
   Rng rng(seed);
   std::vector<Tuple> rows = MakeRows(db->schema, n, &rng, stride);
-  std::vector<std::pair<Tuple, Rid>> pairs;
-  pairs.reserve(n);
-  for (Tuple& t : rows) {
-    auto rid_or = db->heap->Insert(t);
-    if (!rid_or.ok()) return nullptr;
-    pairs.emplace_back(std::move(t), rid_or.ValueOrDie());
-  }
-  if (!db->tree->BulkLoad(pairs).ok()) return nullptr;
+  if (!db->tree->BulkLoad(rows).ok()) return nullptr;
+  for (const Tuple& t : rows) db->store->Put(t);
   return db;
 }
 

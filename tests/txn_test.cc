@@ -170,8 +170,8 @@ TEST(VBTreeLockingTest, QueryLocksBlockOverlappingDelete) {
 TEST(VBTreeLockingTest, ConcurrentInsertsAndQueriesStayConsistent) {
   auto ldb = LockedDb::Make(1000);
   ASSERT_NE(ldb, nullptr);
-  // The replica tree has no heap of its own; inserts need tuples in the
-  // fetch path only for queries, so reuse the TestDb heap.
+  // The locked tree has no rows of its own; queries fetch from the TestDb
+  // store, so the writer stores each row before the tree publishes it.
   auto* db = ldb->db.get();
   VBTree* tree = ldb->tree.get();
 
@@ -183,8 +183,8 @@ TEST(VBTreeLockingTest, ConcurrentInsertsAndQueriesStayConsistent) {
     for (int i = 0; i < 100; ++i) {
       int64_t k = next_key.fetch_add(1);
       Tuple t = testutil::MakeTuple(db->schema, k, &rng);
-      auto rid = db->heap->Insert(t);
-      if (!rid.ok() || !tree->Insert(t, *rid).ok()) failures++;
+      db->store->Put(t);
+      if (!tree->Insert(t).ok()) failures++;
     }
   });
   std::thread reader([&] {

@@ -45,16 +45,14 @@ TEST(VBTreeBuildTest, BulkLoadRejectsUnsortedInput) {
   Rng rng(1);
   Tuple a = MakeTuple(db->schema, 5, &rng);
   Tuple b = MakeTuple(db->schema, 3, &rng);
-  std::vector<std::pair<Tuple, Rid>> rows;
-  rows.emplace_back(a, Rid{0, 0});
-  rows.emplace_back(b, Rid{0, 1});
+  std::vector<Tuple> rows = {a, b};
   EXPECT_EQ(db->tree->BulkLoad(rows).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(VBTreeBuildTest, BulkLoadRejectsNonEmptyTree) {
   auto db = MakeTestDb(10);
   ASSERT_NE(db, nullptr);
-  std::vector<std::pair<Tuple, Rid>> rows;
+  std::vector<Tuple> rows;
   EXPECT_EQ(db->tree->BulkLoad(rows).code(), StatusCode::kInvalidArgument);
 }
 
@@ -91,12 +89,12 @@ TEST(VBTreeBuildTest, DifferentTablesDifferentDigests) {
   VBTree tree_a(std::move(ds_a), opts, &signer);
   VBTree tree_b(std::move(ds_b), opts, &signer);
 
-  std::vector<std::pair<Tuple, Rid>> rows_a, rows_b;
+  std::vector<Tuple> rows_a, rows_b;
   for (int i = 0; i < 10; ++i) {
-    rows_a.emplace_back(MakeTuple(schema, i, &rng_a), Rid{0, (uint16_t)i});
-    rows_b.emplace_back(MakeTuple(schema, i, &rng_b), Rid{0, (uint16_t)i});
+    rows_a.push_back(MakeTuple(schema, i, &rng_a));
+    rows_b.push_back(MakeTuple(schema, i, &rng_b));
   }
-  ASSERT_EQ(rows_a[0].first, rows_b[0].first);  // identical data
+  ASSERT_EQ(rows_a[0], rows_b[0]);  // identical data
   ASSERT_TRUE(tree_a.BulkLoad(rows_a).ok());
   ASSERT_TRUE(tree_b.BulkLoad(rows_b).ok());
   EXPECT_NE(tree_a.root_digest(), tree_b.root_digest());
@@ -128,8 +126,7 @@ TEST(VBTreeBuildTest, DeserializedReplicaCannotSign) {
   ASSERT_TRUE(replica.ok());
   Rng rng(1);
   Tuple t = MakeTuple(db->schema, 1000, &rng);
-  EXPECT_EQ((*replica)->Insert(t, Rid{0, 0}).code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ((*replica)->Insert(t).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ((*replica)->DeleteRange(0, 5).status().code(),
             StatusCode::kInvalidArgument);
 }

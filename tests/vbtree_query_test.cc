@@ -254,9 +254,8 @@ TEST(VBTreeQueryTest, QueryAfterUpdatesVerifies) {
   Rng rng(11);
   for (int64_t k = 1000; k < 1020; ++k) {
     Tuple t = testutil::MakeTuple(db->schema, k, &rng);
-    auto rid = db->heap->Insert(t);
-    ASSERT_TRUE(rid.ok());
-    ASSERT_TRUE(db->tree->Insert(t, *rid).ok());
+    ASSERT_TRUE(db->tree->Insert(t).ok());
+    db->store->Put(t);
   }
   SelectQuery q = RangeQuery(*db, 40, 1010);
   auto out = db->tree->ExecuteSelect(q, db->Fetcher());

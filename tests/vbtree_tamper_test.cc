@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "edge/replica_store.h"
 #include "tests/testutil.h"
 
 namespace vbtree {
@@ -16,26 +15,19 @@ SelectQuery RangeQuery(const TestDb& db, int64_t lo, int64_t hi) {
   return q;
 }
 
-/// Fixture with a replica store standing in for a hacked edge server.
+/// Fixture whose row store stands in for a hacked edge server's replica.
 class TamperTest : public ::testing::Test {
  protected:
   void SetUp() override {
     db_ = MakeTestDb(500, 6, 8);
     ASSERT_NE(db_, nullptr);
-    // Mirror the heap into a ReplicaStore (tamperable).
-    for (auto it = db_->heap->Begin(); it.Valid(); it.Next()) {
-      auto t = it.Get();
-      ASSERT_TRUE(t.ok());
-      ASSERT_TRUE(replica_.Put(it.rid(), *t).ok());
-    }
   }
 
   Result<QueryOutput> Run(const SelectQuery& q) {
-    return db_->tree->ExecuteSelect(q, replica_.Fetcher());
+    return db_->tree->ExecuteSelect(q, db_->Fetcher());
   }
 
   std::unique_ptr<TestDb> db_;
-  ReplicaStore replica_;
 };
 
 TEST_F(TamperTest, HonestBaselineVerifies) {
@@ -47,7 +39,7 @@ TEST_F(TamperTest, HonestBaselineVerifies) {
 }
 
 TEST_F(TamperTest, TamperedValueDetected) {
-  ASSERT_TRUE(replica_.TamperByKey(150, 2, Value::Str("EVIL")).ok());
+  ASSERT_TRUE(db_->store->TamperByKey(150, 2, Value::Str("EVIL")).ok());
   SelectQuery q = RangeQuery(*db_, 100, 200);
   auto out = Run(q);
   ASSERT_TRUE(out.ok());
@@ -57,7 +49,7 @@ TEST_F(TamperTest, TamperedValueDetected) {
 }
 
 TEST_F(TamperTest, TamperOutsideQueryRangeHarmless) {
-  ASSERT_TRUE(replica_.TamperByKey(400, 2, Value::Str("EVIL")).ok());
+  ASSERT_TRUE(db_->store->TamperByKey(400, 2, Value::Str("EVIL")).ok());
   SelectQuery q = RangeQuery(*db_, 100, 200);
   auto out = Run(q);
   ASSERT_TRUE(out.ok());
@@ -69,7 +61,7 @@ TEST_F(TamperTest, TamperOutsideQueryRangeHarmless) {
 
 TEST_F(TamperTest, TamperedProjectedValueDetected) {
   // Tamper a column that IS returned while others are projected away.
-  ASSERT_TRUE(replica_.TamperByKey(120, 1, Value::Str("EVIL")).ok());
+  ASSERT_TRUE(db_->store->TamperByKey(120, 1, Value::Str("EVIL")).ok());
   SelectQuery q = RangeQuery(*db_, 100, 200);
   q.projection = {0, 1};
   auto out = Run(q);
@@ -83,7 +75,7 @@ TEST_F(TamperTest, TamperedFilteredColumnUndetectedByDesign) {
   // Tampering a projected-away column never reaches the client: the edge
   // ships the original *signed* attribute digest, so verification passes
   // and no wrong data was served. Integrity of what was returned holds.
-  ASSERT_TRUE(replica_.TamperByKey(120, 5, Value::Str("EVIL")).ok());
+  ASSERT_TRUE(db_->store->TamperByKey(120, 5, Value::Str("EVIL")).ok());
   SelectQuery q = RangeQuery(*db_, 100, 200);
   q.projection = {0, 1};
   auto out = Run(q);

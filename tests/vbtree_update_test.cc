@@ -15,9 +15,8 @@ TEST(VBTreeInsertTest, InsertIntoEmptyTree) {
   ASSERT_NE(db, nullptr);
   Rng rng(1);
   Tuple t = MakeTuple(db->schema, 7, &rng);
-  auto rid = db->heap->Insert(t);
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(db->tree->Insert(t, *rid).ok());
+  ASSERT_TRUE(db->tree->Insert(t).ok());
+  db->store->Put(t);
   EXPECT_EQ(db->tree->size(), 1u);
   EXPECT_TRUE(db->tree->CheckDigestConsistency().ok());
 }
@@ -29,9 +28,8 @@ TEST(VBTreeInsertTest, IncrementalFoldMatchesRebuild) {
   ASSERT_NE(db, nullptr);
   Rng rng(2);
   Tuple t = MakeTuple(db->schema, 100, &rng);
-  auto rid = db->heap->Insert(t);
-  ASSERT_TRUE(rid.ok());
-  ASSERT_TRUE(db->tree->Insert(t, *rid).ok());
+  ASSERT_TRUE(db->tree->Insert(t).ok());
+  db->store->Put(t);
   EXPECT_TRUE(db->tree->CheckDigestConsistency().ok());
 }
 
@@ -41,9 +39,8 @@ TEST(VBTreeInsertTest, SplitsKeepDigestsConsistent) {
   Rng rng(3);
   for (int64_t k = 0; k < 200; ++k) {
     Tuple t = MakeTuple(db->schema, k, &rng);
-    auto rid = db->heap->Insert(t);
-    ASSERT_TRUE(rid.ok());
-    ASSERT_TRUE(db->tree->Insert(t, *rid).ok()) << k;
+    ASSERT_TRUE(db->tree->Insert(t).ok()) << k;
+    db->store->Put(t);
   }
   EXPECT_EQ(db->tree->size(), 200u);
   EXPECT_GE(db->tree->height(), 3);
@@ -60,9 +57,8 @@ TEST(VBTreeInsertTest, RandomOrderInsertsConsistent) {
     int64_t k = static_cast<int64_t>(rng.Uniform(100000));
     if (!keys.insert(k).second) continue;
     Tuple t = MakeTuple(db->schema, k, &rng);
-    auto rid = db->heap->Insert(t);
-    ASSERT_TRUE(rid.ok());
-    ASSERT_TRUE(db->tree->Insert(t, *rid).ok());
+    ASSERT_TRUE(db->tree->Insert(t).ok());
+    db->store->Put(t);
   }
   EXPECT_TRUE(db->tree->CheckStructure().ok());
   EXPECT_TRUE(db->tree->CheckDigestConsistency().ok());
@@ -76,8 +72,7 @@ TEST(VBTreeInsertTest, DuplicateKeyRejectedWithoutDigestDamage) {
   Digest before = db->tree->root_digest();
   Rng rng(5);
   Tuple t = MakeTuple(db->schema, 10, &rng);  // key 10 already present
-  EXPECT_EQ(db->tree->Insert(t, Rid{0, 0}).code(),
-            StatusCode::kAlreadyExists);
+  EXPECT_EQ(db->tree->Insert(t).code(), StatusCode::kAlreadyExists);
   EXPECT_EQ(db->tree->size(), 20u);
   // Note: duplicate detection happens at the leaf, so path digests are
   // untouched only if the insert failed before any fold — verify by full
@@ -126,9 +121,8 @@ TEST(VBTreeDeleteTest, DeleteEverything) {
   // Tree stays usable.
   Rng rng(6);
   Tuple t = MakeTuple(db->schema, 7, &rng);
-  auto rid = db->heap->Insert(t);
-  ASSERT_TRUE(rid.ok());
-  EXPECT_TRUE(db->tree->Insert(t, *rid).ok());
+  EXPECT_TRUE(db->tree->Insert(t).ok());
+  db->store->Put(t);
   EXPECT_TRUE(db->tree->CheckDigestConsistency().ok());
 }
 
@@ -167,9 +161,8 @@ TEST_P(VBTreeUpdateFuzz, RandomMixedWorkload) {
       int64_t k = static_cast<int64_t>(rng.Uniform(2000));
       Tuple t = MakeTuple(db->schema, k, &rng);
       bool fresh = reference.insert(k).second;
-      auto rid = db->heap->Insert(t);
-      ASSERT_TRUE(rid.ok());
-      Status s = db->tree->Insert(t, *rid);
+      Status s = db->tree->Insert(t);
+      if (s.ok()) db->store->Put(t);
       ASSERT_EQ(s.ok(), fresh) << s.ToString();
     }
     // ...then a range delete.
