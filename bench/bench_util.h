@@ -69,8 +69,7 @@ struct BenchTable {
   size_t num_tuples = 0;
 
   DigestSchema MakeDigestSchema() const {
-    return DigestSchema("benchdb", "t", schema, tree->options().hash_algo,
-                        tree->options().modulus_bits);
+    return DigestSchema("benchdb", "t", schema);
   }
 
   VBTree::TupleFetcher Fetcher() const { return store->Fetcher(); }
@@ -90,8 +89,7 @@ inline std::unique_ptr<BenchTable> BuildBenchTable(size_t n,
   // Fan-out from the paper's block formula: |B|=4KB, |K|=16, |P|=4, |s|=16.
   opts.config.max_internal = BTreeConfig::VBTreeFanOut(16, 4, 16, 4096);
   opts.config.max_leaf = opts.config.max_internal;
-  DigestSchema ds("benchdb", "t", t->schema, opts.hash_algo,
-                  opts.modulus_bits);
+  DigestSchema ds("benchdb", "t", t->schema);
   t->tree = std::make_unique<VBTree>(std::move(ds), opts, t->signer.get());
   if (with_naive) {
     t->naive = std::make_unique<NaiveStore>(t->MakeDigestSchema(),

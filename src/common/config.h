@@ -2,26 +2,11 @@
 #define VBTREE_COMMON_CONFIG_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace vbtree {
 
-/// Disk block / index node size in bytes (paper Table 1: |B| = 4 KB).
-inline constexpr size_t kPageSize = 4096;
-
 /// Length of a (signed) digest in bytes (paper Table 1: |s| = 16).
 inline constexpr size_t kDigestLen = 16;
-
-/// Length of a node pointer in bytes used by the cost model (|P| = 4).
-inline constexpr size_t kPointerLen = 4;
-
-/// Default search-key length in bytes used by the cost model (|K| = 16).
-inline constexpr size_t kDefaultKeyLen = 16;
-
-using page_id_t = int32_t;
-inline constexpr page_id_t kInvalidPageId = -1;
-
-using txn_id_t = uint64_t;
 
 }  // namespace vbtree
 

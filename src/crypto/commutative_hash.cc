@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "common/logging.h"
 #include "common/serde.h"
 #include "crypto/hash.h"
 
@@ -30,42 +29,18 @@ Uint128 CommutativeHash::ModExp(Uint128 base, Uint128 exp) const {
 
 Digest CommutativeHash::Extend(const Digest& acc, const Digest& d) const {
   if (counters_ != nullptr) CryptoCounters::Tick(counters_->combine_ops);
-  // Exponent 0 would collapse the accumulator to 1 for every input; a
-  // 16-byte hash output is zero with probability 2^-128, but map it to 1
-  // deterministically so the function is total.
-  Uint128 e = d.ToUint128();
-  if (e.IsZero()) e = Uint128(1);
-  return Digest::FromUint128(ModExp(acc.ToUint128(), e));
+  return Digest::FromUint128(ModExp(acc.ToUint128(), ExponentFactor(d)));
 }
 
 Digest CommutativeHash::Combine(std::span<const Digest> digests) const {
   // Fold the exponent product first (one 128-bit multiply per digest),
   // then pay a single exponentiation: G^(d1·...·dm) directly, instead of
   // the chained ((G^d1)^d2)... which costs one full square-and-multiply
-  // per digest. Bit-identical by (G^a)^b = G^(ab) — the same algebra the
-  // server's kRecomputeProduct strategy uses, and property-tested against
-  // the chained form. This is the client-verification recombination hot
-  // path: every VO node digest is one Combine over its parts.
+  // per digest. Bit-identical by (G^a)^b = G^(ab), and tested against the
+  // chained form. Every node digest the central server recomputes and
+  // every VO node digest the client verifies is one Combine.
   if (counters_ != nullptr) CryptoCounters::Tick(counters_->combine_ops, digests.size());
   return FromExponent(ExponentProduct(digests));
-}
-
-Uint128 InverseOdd128(Uint128 x) {
-  VBT_CHECK(x.IsOdd());
-  // y = x is a correct inverse mod 2^3 for odd x; each Newton-Hensel step
-  // y <- y(2 - xy) doubles the valid low bits: 3 -> 6 -> ... -> 192 > 128.
-  Uint128 y = x;
-  for (int i = 0; i < 6; ++i) {
-    Uint128 xy = x.MulWrap(y);
-    unsigned __int128 raw =
-        static_cast<unsigned __int128>(2) -
-        ((static_cast<unsigned __int128>(xy.hi()) << 64) | xy.lo());
-    Uint128 two_minus_xy = Uint128::FromParts(
-        static_cast<uint64_t>(raw >> 64), static_cast<uint64_t>(raw));
-    y = y.MulWrap(two_minus_xy);
-  }
-  VBT_CHECK(x.MulWrap(y) == Uint128(1));
-  return y;
 }
 
 Uint128 CommutativeHash::ExponentProduct(
@@ -80,13 +55,6 @@ Uint128 CommutativeHash::ExponentProduct(
 Digest CommutativeHash::FromExponent(Uint128 exponent) const {
   Uint128 g = Identity().ToUint128();
   return Digest::FromUint128(ModExp(g, exponent));
-}
-
-Uint128 CommutativeHash::UpdateExponent(Uint128 exponent, const Digest& d_old,
-                                        const Digest& d_new) const {
-  if (counters_ != nullptr) CryptoCounters::Tick(counters_->combine_ops);
-  Uint128 inv = InverseOdd128(ExponentFactor(d_old));
-  return exponent.MulWrap(inv).MulWrap(ExponentFactor(d_new)).Mask(bits_);
 }
 
 Digest ChainedHash::Combine(std::span<const Digest> digests) const {

@@ -26,7 +26,7 @@ namespace vbtree {
 /// Properties relied on elsewhere (and property-tested):
 ///  * Commutativity / order independence of Combine.
 ///  * Incremental extension: Extend(Combine(S), d) == Combine(S ∪ {d}),
-///    which makes inserts O(height) digest updates (§3.4).
+///    which lets a leaf fold in an inserted tuple digest (§3.4).
 ///  * Results are always odd (G odd => units mod 2^k), hence never zero.
 ///
 /// Security note: this mirrors the paper's construction. Discrete log
@@ -46,7 +46,6 @@ class CommutativeHash {
                            CryptoCounters* counters = nullptr)
       : bits_(modulus_bits), counters_(counters) {}
 
-  int modulus_bits() const { return bits_; }
   void set_counters(CryptoCounters* counters) { counters_ = counters; }
 
   /// g({}) = G: the empty combination is the generator itself.
@@ -55,32 +54,22 @@ class CommutativeHash {
   /// Folds one digest into an accumulated hash value: acc^d mod 2^k.
   Digest Extend(const Digest& acc, const Digest& d) const;
 
-  /// g(d1, ..., dm) for the whole set.
+  /// g(d1, ..., dm) for the whole set. Every combined digest is
+  /// G^(d1 * d2 * ... * dm) mod 2^k, and the multiplicative order of G
+  /// divides 2^k, so the exponent product can itself be taken mod 2^k:
+  /// one multiplication per digest plus a single exponentiation, instead
+  /// of one exponentiation per digest. Bit-identical to a left fold of
+  /// Extend from Identity(), the paper's chained procedure (tested).
   Digest Combine(std::span<const Digest> digests) const;
 
   /// Modular exponentiation base^exp mod 2^bits via square-and-multiply
   /// with reduction after every multiplication.
   Uint128 ModExp(Uint128 base, Uint128 exp) const;
 
-  // --- exponent-space operations -----------------------------------------
-  //
-  // Every combined digest is G^(d1 * d2 * ... * dm) mod 2^k. Because the
-  // multiplicative order of G divides 2^(k-2), which divides 2^k, the
-  // exponent product can itself be maintained mod 2^k. This enables two
-  // algebraically identical but much cheaper forms of the chained fold:
-  //
-  //  * Combine itself: one multiplication per digest plus a single
-  //    exponentiation, instead of one exponentiation per digest;
-  //  * UpdateExponent: O(1) maintenance when one input digest changes —
-  //    all combined digests are odd (powers of the odd G), hence
-  //    invertible mod 2^k, so e' = e * d_old^{-1} * d_new.
-  //
-  // The results are bit-identical to a left fold of Extend from
-  // Identity(), the paper's client procedure; property tests assert the
-  // equivalence.
-
-  /// The exponent factor a digest contributes (the all-zero digest maps
-  /// to 1, mirroring Extend's totality fix).
+ private:
+  /// The exponent factor a digest contributes. Exponent 0 would collapse
+  /// every accumulator to 1; a 16-byte hash output is zero with
+  /// probability 2^-128, but it maps to 1 so Extend and Combine are total.
   static Uint128 ExponentFactor(const Digest& d) {
     Uint128 e = d.ToUint128();
     return e.IsZero() ? Uint128(1) : e;
@@ -89,23 +78,12 @@ class CommutativeHash {
   /// Product of the digests' exponent factors, mod 2^bits.
   Uint128 ExponentProduct(std::span<const Digest> digests) const;
 
-  /// G^exponent — materializes a digest from a maintained exponent.
+  /// G^exponent.
   Digest FromExponent(Uint128 exponent) const;
 
-  /// O(1) exponent maintenance when one combined digest changes from
-  /// `d_old` to `d_new`. Both must be odd (true for all tuple/node
-  /// digests, which are powers of G).
-  Uint128 UpdateExponent(Uint128 exponent, const Digest& d_old,
-                         const Digest& d_new) const;
-
- private:
   int bits_;
   CryptoCounters* counters_;
 };
-
-/// Multiplicative inverse of an odd value mod 2^128 by Newton-Hensel
-/// lifting (y <- y(2 - xy), doubling precision each step).
-Uint128 InverseOdd128(Uint128 x);
 
 /// Order-*dependent* combiner used only by the ablation benchmark: chains
 /// SHA-256 over the concatenation. Cheaper per op than modular

@@ -163,8 +163,7 @@ std::shared_ptr<CentralServer::ShardState> CentralServer::MakeShard(
   opts.key_version = key_version_;
   // The digest schema is qualified by the shard's distribution name:
   // signatures minted for this shard verify ONLY against this shard.
-  DigestSchema ds(options_.db_name, shard->dist_name, schema, opts.hash_algo,
-                  opts.modulus_bits);
+  DigestSchema ds(options_.db_name, shard->dist_name, schema);
   shard->tree =
       std::make_unique<VBTree>(std::move(ds), opts, current_signer_);
   return shard;
@@ -193,7 +192,7 @@ Status CentralServer::SignMap(
   map->db_name = options_.db_name;
   map->key_version = key_version_;
   VBT_RETURN_NOT_OK(map->CheckWellFormed());
-  Digest content = map->ContentDigest(options_.tree_opts.hash_algo);
+  Digest content = map->ContentDigest();
   VBT_ASSIGN_OR_RETURN(map->sig, current_signer_->Sign(content));
   ByteWriter w(128);
   map->Serialize(&w);

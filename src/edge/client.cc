@@ -24,9 +24,8 @@ uint64_t MicrosSince(std::chrono::steady_clock::time_point t0) {
 }
 }  // namespace
 
-void Client::RegisterTable(const std::string& table, Schema schema,
-                           HashAlgorithm algo, int modulus_bits) {
-  tables_[table] = TableMeta{std::move(schema), algo, modulus_bits};
+void Client::RegisterTable(const std::string& table, Schema schema) {
+  tables_.insert_or_assign(table, std::move(schema));
 }
 
 void Client::BeginPinnedRead() {
@@ -52,7 +51,6 @@ Client::EdgeChannels* Client::ResolveChannels(EdgeServer* edge,
 }
 
 Result<const PartitionMap*> Client::VerifyMapBytes(const std::string& table,
-                                                   const TableMeta& meta,
                                                    Slice bytes, uint64_t now) {
   auto cached = maps_.find(table);
   if (cached != maps_.end() && cached->second.bytes.size() == bytes.size() &&
@@ -104,7 +102,7 @@ Result<const PartitionMap*> Client::VerifyMapBytes(const std::string& table,
   // signed under an expired key version is rejected here.
   VBT_ASSIGN_OR_RETURN(std::shared_ptr<Recoverer> rec,
                        keys_->RecovererFor(map.key_version, now));
-  VBT_RETURN_NOT_OK(map.Verify(rec.get(), meta.algo));
+  VBT_RETURN_NOT_OK(map.Verify(rec.get()));
   floor = std::max(floor, map.epoch);
   if (pinned_read_) pinned_epochs_.try_emplace(table, map.epoch);
   VerifiedMap& slot = maps_[table];
@@ -271,12 +269,12 @@ Result<Client::VerifiedBatch> Client::RunBatch(EdgeServer* edge,
                                                uint64_t now,
                                                BatchVerifier* verifier,
                                                Transport* net) {
-  auto meta_it = tables_.find(batch.table);
-  if (meta_it == tables_.end()) {
+  auto schema_it = tables_.find(batch.table);
+  if (schema_it == tables_.end()) {
     return Status::InvalidArgument("table not registered with client: " +
                                    batch.table);
   }
-  const TableMeta& meta = meta_it->second;
+  const Schema& schema = schema_it->second;
   if (batch.queries.empty()) {
     return Status::InvalidArgument("empty query batch");
   }
@@ -366,14 +364,13 @@ Result<Client::VerifiedBatch> Client::RunBatch(EdgeServer* edge,
   ByteReader r((Slice(resp_bytes)));
   VBT_ASSIGN_OR_RETURN(
       ShardedBatchDecoded decoded,
-      DeserializeShardedQueryBatchResponse(&r, meta.schema, b.queries));
+      DeserializeShardedQueryBatchResponse(&r, schema, b.queries));
 
   // Authenticate the map the edge claims to have scattered under; the
   // decode above already validated the groups against the plan this map
   // dictates.
   const auto map_verify_start = std::chrono::steady_clock::now();
-  auto map_or =
-      VerifyMapBytes(batch.table, meta, Slice(decoded.map_bytes), now);
+  auto map_or = VerifyMapBytes(batch.table, Slice(decoded.map_bytes), now);
   out.map_verify_us = MicrosSince(map_verify_start);
   if (!map_or.ok()) {
     // Deliver the (unverifiable) rows with the failure on every slot:
@@ -408,8 +405,7 @@ Result<Client::VerifiedBatch> Client::RunBatch(EdgeServer* edge,
       binding = Verifier::TopBinding{shard, entry.lo, entry.hi};
     }
     BatchVerifier::Group group{
-        DigestSchema(db_name_, binding ? entry.lineage : shard, meta.schema,
-                     meta.algo, meta.modulus_bits),
+        DigestSchema(db_name_, binding ? entry.lineage : shard, schema),
         std::move(binding), {}, std::move(decoded.groups[g].resp), now};
     group.queries.reserve(planned.slices.size());
     for (const ShardSlice& slice : planned.slices) {

@@ -74,16 +74,12 @@ class Client {
   /// Registers table (or join view) metadata, obtained from the central
   /// server's catalog over an authenticated channel; required before
   /// querying it. Its layout comes from the signed map on every answer.
-  void RegisterTable(const std::string& table, Schema schema,
-                     HashAlgorithm algo = HashAlgorithm::kSha256,
-                     int modulus_bits = 128);
+  void RegisterTable(const std::string& table, Schema schema);
 
   /// Alias of RegisterTable, kept for callers written when sharded tables
   /// registered separately.
-  void RegisterShardedTable(const std::string& table, Schema schema,
-                            HashAlgorithm algo = HashAlgorithm::kSha256,
-                            int modulus_bits = 128) {
-    RegisterTable(table, std::move(schema), algo, modulus_bits);
+  void RegisterShardedTable(const std::string& table, Schema schema) {
+    RegisterTable(table, std::move(schema));
   }
 
   /// Multi-statement read consistency across partition-map generations.
@@ -267,12 +263,6 @@ class Client {
                                      Transport* net = nullptr);
 
  private:
-  struct TableMeta {
-    Schema schema;
-    HashAlgorithm algo;
-    int modulus_bits;
-  };
-
   /// Ships serialized request bytes to an edge and returns its response
   /// bytes: through a QueryService's queue, or straight to the edge.
   using Dispatch =
@@ -312,7 +302,6 @@ class Client {
   /// returned pointer lives until the next VerifyMapBytes call for the
   /// same table.
   Result<const PartitionMap*> VerifyMapBytes(const std::string& table,
-                                             const TableMeta& meta,
                                              Slice bytes, uint64_t now);
 
   /// The one read path behind Query and QueryBatched: serializes `batch`,
@@ -355,7 +344,8 @@ class Client {
 
   std::string db_name_;
   KeyDirectory* keys_;
-  std::map<std::string, TableMeta> tables_;
+  /// Registered schema per table or view.
+  std::map<std::string, Schema> tables_;
   std::map<std::string, EdgeChannels> channels_;
   /// Highest replica version seen per shard (monotonic-read watermark).
   std::map<std::string, uint64_t> freshness_;

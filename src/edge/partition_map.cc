@@ -90,7 +90,7 @@ Status PartitionMap::CheckWellFormed() const {
   return Status::OK();
 }
 
-Digest PartitionMap::ContentDigest(HashAlgorithm algo) const {
+Digest PartitionMap::ContentDigest() const {
   ByteWriter w(64 + shards.size() * 20);
   w.PutU32(kMapMagic);
   w.PutString(db_name);
@@ -107,10 +107,10 @@ Digest PartitionMap::ContentDigest(HashAlgorithm algo) const {
     // with a crafted neighboring field.
     w.PutString(s.lineage);
   }
-  return HashToDigest(algo, Slice(w.buffer()));
+  return HashToDigest(HashAlgorithm::kSha256, Slice(w.buffer()));
 }
 
-Status PartitionMap::Verify(Recoverer* recoverer, HashAlgorithm algo) const {
+Status PartitionMap::Verify(Recoverer* recoverer) const {
   VBT_RETURN_NOT_OK(CheckWellFormed());
   if (recoverer == nullptr) {
     return Status::InvalidArgument("null recoverer for partition map");
@@ -121,7 +121,7 @@ Status PartitionMap::Verify(Recoverer* recoverer, HashAlgorithm algo) const {
                                        "' does not recover: " +
                                        recovered.status().ToString());
   }
-  if (!(*recovered == ContentDigest(algo))) {
+  if (!(*recovered == ContentDigest())) {
     return Status::VerificationFailure(
         "partition map signature does not bind the shard layout of '" + table +
         "' (epoch " + std::to_string(epoch) + ")");

@@ -92,15 +92,15 @@ struct PartitionMap {
   /// covering [INT64_MIN, INT64_MAX], ids unique. kCorruption otherwise.
   Status CheckWellFormed() const;
 
-  /// Digest of the canonical serialization (everything except `sig`) —
-  /// the preimage the central server signs.
-  Digest ContentDigest(HashAlgorithm algo) const;
+  /// SHA-256 digest of the canonical serialization (everything except
+  /// `sig`) — the preimage the central server signs.
+  Digest ContentDigest() const;
 
   /// Full client-side authentication: well-formedness, then p(sig) must
   /// equal the recomputed content digest. The caller resolves `recoverer`
   /// through the KeyDirectory for `key_version` so expired signing keys
   /// are rejected upstream.
-  Status Verify(Recoverer* recoverer, HashAlgorithm algo) const;
+  Status Verify(Recoverer* recoverer) const;
 
   void Serialize(ByteWriter* w) const;
   static Result<PartitionMap> Deserialize(ByteReader* r);

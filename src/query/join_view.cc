@@ -43,8 +43,7 @@ Result<std::unique_ptr<JoinView>> JoinView::Materialize(
   Schema schema = MakeViewSchema(left_schema, right_schema);
   auto view =
       std::unique_ptr<JoinView>(new JoinView(spec, schema));
-  DigestSchema ds(db_name, spec.view_name, schema, opts.hash_algo,
-                  opts.modulus_bits);
+  DigestSchema ds(db_name, spec.view_name, schema);
   view->tree_ = std::make_unique<VBTree>(std::move(ds), opts, signer);
 
   // Hash join on the right side, then emit pairs ordered by

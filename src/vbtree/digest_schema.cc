@@ -1,6 +1,7 @@
 #include "vbtree/digest_schema.h"
 
 #include "common/serde.h"
+#include "crypto/hash.h"
 
 namespace vbtree {
 
@@ -19,7 +20,7 @@ Digest DigestSchema::AttributeDigest(int64_t key, size_t col_idx,
   w.PutString(schema_.column(col_idx).name);
   w.PutI64(key);
   v.Serialize(&w);
-  return HashToDigest(algo_, Slice(w.buffer()));
+  return HashToDigest(HashAlgorithm::kSha256, Slice(w.buffer()));
 }
 
 std::vector<Digest> DigestSchema::AttributeDigests(const Tuple& t) const {
@@ -37,7 +38,7 @@ Digest DigestSchema::TupleDigest(const Tuple& t) const {
   return ghash_.Combine(attrs);
 }
 
-Digest ShardBindingDigest(HashAlgorithm algo, const std::string& db_name,
+Digest ShardBindingDigest(const std::string& db_name,
                           const std::string& verify_name, int64_t lo,
                           int64_t hi, const Digest& root_digest) {
   // Length-prefixed fields, same anti-collision discipline as
@@ -52,7 +53,7 @@ Digest ShardBindingDigest(HashAlgorithm algo, const std::string& db_name,
   w.PutI64(lo);
   w.PutI64(hi);
   w.PutBytes(root_digest.AsSlice());
-  return HashToDigest(algo, Slice(w.buffer()));
+  return HashToDigest(HashAlgorithm::kSha256, Slice(w.buffer()));
 }
 
 }  // namespace vbtree

@@ -9,7 +9,6 @@
 #include "catalog/tuple.h"
 #include "crypto/commutative_hash.h"
 #include "crypto/counters.h"
-#include "crypto/hash.h"
 
 namespace vbtree {
 
@@ -22,20 +21,16 @@ namespace vbtree {
 ///   (3) node digest       D_N  = g(d_1, ..., d_p)   over tuple digests
 ///                                (leaf) or child node digests (internal)
 ///
-/// where h is a standard one-way hash (SHA-256 by default) and g the
-/// commutative hash G^(d1·...·dm) mod 2^k. Binding db/table/attr names and
+/// where h is SHA-256 and g the commutative hash G^(d1·...·dm) mod 2^128
+/// (§3.2 fixes one h and one g). Binding db/table/attr names and
 /// the tuple key into every attribute digest defeats substitution of
 /// authentic values across rows, columns or tables.
 class DigestSchema {
  public:
-  DigestSchema(std::string db_name, std::string table_name, Schema schema,
-               HashAlgorithm algo = HashAlgorithm::kSha256,
-               int modulus_bits = 128)
+  DigestSchema(std::string db_name, std::string table_name, Schema schema)
       : db_name_(std::move(db_name)),
         table_name_(std::move(table_name)),
-        schema_(std::move(schema)),
-        algo_(algo),
-        ghash_(modulus_bits) {}
+        schema_(std::move(schema)) {}
 
   /// Routes Cost_h / Cost_k accounting to `counters` (may be nullptr).
   void set_counters(CryptoCounters* counters) {
@@ -63,14 +58,11 @@ class DigestSchema {
   const Schema& schema() const { return schema_; }
   const std::string& db_name() const { return db_name_; }
   const std::string& table_name() const { return table_name_; }
-  HashAlgorithm hash_algorithm() const { return algo_; }
-  int modulus_bits() const { return ghash_.modulus_bits(); }
 
  private:
   std::string db_name_;
   std::string table_name_;
   Schema schema_;
-  HashAlgorithm algo_;
   CommutativeHash ghash_;
   CryptoCounters* counters_ = nullptr;
 };
@@ -87,7 +79,7 @@ class DigestSchema {
 /// shard VOs at this binding instead of a raw node signature: a sibling's
 /// tree (same digest domain, different range/name) can no longer stand in
 /// for an overlapping shard or prove its ranges empty.
-Digest ShardBindingDigest(HashAlgorithm algo, const std::string& db_name,
+Digest ShardBindingDigest(const std::string& db_name,
                           const std::string& verify_name, int64_t lo,
                           int64_t hi, const Digest& root_digest);
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <limits>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <unordered_map>
 
@@ -54,10 +55,6 @@ struct VBTree::LeafEntry {
 struct VBTree::NodeContent {
   /// Unsigned node digest D_N (formula (3)).
   Digest digest;
-  /// Cached exponent product: D_N = G^exponent mod 2^k. Maintained by the
-  /// central server for the product/incremental update strategies; not
-  /// serialized (cheaply rebuilt on deserialization).
-  Uint128 exponent{1};
   /// s(D_N); conceptually stored with the child pointer in the parent
   /// (Fig. 3c) — kept with the node itself, which is equivalent and
   /// avoids duplication. The root's signature doubles as the tree
@@ -141,7 +138,7 @@ struct VBTree::ReadGuard {
   const std::atomic<Node*>* root_src = nullptr;
   Node* root_seen = nullptr;
   bool failed = false;
-  /// The batch's fetch memo (ExecuteSelectBatch); null for single reads.
+  /// The batch's fetch memo (ExecuteSelectBatch).
   FetchMemo* memo = nullptr;
 
   const NodeContent* Read(const Node* n) {
@@ -404,12 +401,8 @@ void VBTree::AbortWrite() {
 // Construction / destruction.
 // ---------------------------------------------------------------------------
 
-VBTree::VBTree(DigestSchema digest_schema, VBTreeOptions opts, Signer* signer,
-               LockManager* lock_manager)
-    : ds_(std::move(digest_schema)),
-      opts_(opts),
-      signer_(signer),
-      lock_manager_(lock_manager) {
+VBTree::VBTree(DigestSchema digest_schema, VBTreeOptions opts, Signer* signer)
+    : ds_(std::move(digest_schema)), opts_(opts), signer_(signer) {
   VBT_CHECK(opts_.config.max_internal >= 2 && opts_.config.max_leaf >= 1);
   key_version_.store(opts_.key_version, std::memory_order_relaxed);
   Leaf* c = new Leaf();
@@ -490,8 +483,8 @@ Status VBTree::RefreshBindingForCommit() {
   } else {
     return Status::OK();  // root digest unchanged; old binding still valid
   }
-  Digest bd = ShardBindingDigest(opts_.hash_algo, ds_.db_name(),
-                                 p->verify_name, p->lo, p->hi, c->digest);
+  Digest bd = ShardBindingDigest(ds_.db_name(), p->verify_name, p->lo, p->hi,
+                                 c->digest);
   if (replay_feed_ != nullptr) {
     if (replay_feed_->empty()) {
       return Status::Corruption("update-delta signature feed exhausted");
@@ -514,7 +507,6 @@ Status VBTree::RecomputeLeafDigest(Leaf* leaf) {
   std::vector<Digest> ds;
   ds.reserve(leaf->entries.size());
   for (const LeafEntry& e : leaf->entries) ds.push_back(e.tuple_digest);
-  leaf->exponent = ds_.ghash().ExponentProduct(ds);
   leaf->digest = ds_.CombineDigests(ds);
   return ResignNode(leaf);
 }
@@ -523,7 +515,6 @@ Status VBTree::RecomputeInternalDigest(Internal* in) {
   std::vector<Digest> ds;
   ds.reserve(in->children.size());
   for (const Node* c : in->children) ds.push_back(WriterRead(c)->digest);
-  in->exponent = ds_.ghash().ExponentProduct(ds);
   in->digest = ds_.CombineDigests(ds);
   return ResignNode(in);
 }
@@ -641,8 +632,7 @@ Status VBTree::BulkLoad(std::span<const Tuple> rows) {
 // Insert (§3.4).
 // ---------------------------------------------------------------------------
 
-Result<VBTree::InsertOutcome> VBTree::InsertRec(Node* node, LeafEntry entry,
-                                                const Digest& tuple_digest) {
+Result<VBTree::InsertOutcome> VBTree::InsertRec(Node* node, LeafEntry entry) {
   if (node->is_leaf) {
     Leaf* leaf = MutableLeaf(node);
     auto it = std::lower_bound(
@@ -651,18 +641,12 @@ Result<VBTree::InsertOutcome> VBTree::InsertRec(Node* node, LeafEntry entry,
     if (it != leaf->entries.end() && it->key == entry.key) {
       return Status::AlreadyExists("duplicate key");
     }
+    const Digest tuple_digest = entry.tuple_digest;
     leaf->entries.insert(it, std::move(entry));
     if (leaf->entries.size() <= static_cast<size_t>(opts_.config.max_leaf)) {
       // Incremental fold: D ← D^{t_j} mod n (§3.4 Insert). This is valid
       // at the leaf because the leaf digest is G^(∏ tuple digests).
-      leaf->exponent =
-          leaf->exponent
-              .MulWrap(CommutativeHash::ExponentFactor(tuple_digest))
-              .Mask(ds_.modulus_bits());
-      leaf->digest =
-          opts_.update_strategy == DigestUpdateStrategy::kRecomputeChained
-              ? ds_.ghash().Extend(leaf->digest, tuple_digest)
-              : ds_.ghash().FromExponent(leaf->exponent);
+      leaf->digest = ds_.ghash().Extend(leaf->digest, tuple_digest);
       VBT_RETURN_NOT_OK(ResignNode(leaf));
       return InsertOutcome{};
     }
@@ -676,7 +660,6 @@ Result<VBTree::InsertOutcome> VBTree::InsertRec(Node* node, LeafEntry entry,
     VBT_RETURN_NOT_OK(RecomputeLeafDigest(leaf));
     VBT_RETURN_NOT_OK(RecomputeLeafDigest(right));
     InsertOutcome out;
-    out.recomputed = true;
     out.split = SplitResult{right->entries.front().key, right_node};
     return out;
   }
@@ -684,22 +667,20 @@ Result<VBTree::InsertOutcome> VBTree::InsertRec(Node* node, LeafEntry entry,
   const auto* in_read = static_cast<const Internal*>(WriterRead(node));
   size_t ci = in_read->ChildIndex(entry.key);
   Node* child = in_read->children[ci];
-  const Digest old_child_digest = WriterRead(child)->digest;
   VBT_ASSIGN_OR_RETURN(InsertOutcome child_out,
-                       InsertRec(child, std::move(entry), tuple_digest));
+                       InsertRec(child, std::move(entry)));
 
   // The child's digest changed, so this node's digest — defined as
-  // g(D_c1, ..., D_cp) over *child digests* — must be updated and
+  // g(D_c1, ..., D_cp) over *child digests* — is recombined and
   // re-signed.
   //
-  // Faithfulness note (see DESIGN.md): §3.4 suggests updating every node
-  // on the path incrementally as D ← D^{d_T}. That identity only holds if
-  // node digests were flat products over all tuple digests beneath, which
-  // is incompatible with the paper's own VO construction (opaque filtered
-  // branches enter verification as child *digests*, formula (4)). With
-  // the nested definition, the recompute strategies redo an O(fan-out)
-  // combination; kIncremental restores O(1) per node by patching the
-  // exponent product with a modular inverse.
+  // Faithfulness note (see DESIGN.md §1): §3.4 suggests updating every
+  // node on the path incrementally as D ← D^{d_T}. That identity only
+  // holds if node digests were flat products over all tuple digests
+  // beneath, which is incompatible with the paper's own VO construction
+  // (opaque filtered branches enter verification as child *digests*,
+  // formula (4)). With the nested definition an internal node redoes an
+  // O(fan-out) combination.
   Internal* in = MutableInternal(node);
   if (child_out.split.has_value()) {
     in->keys.insert(in->keys.begin() + ci, child_out.split->separator);
@@ -718,36 +699,19 @@ Result<VBTree::InsertOutcome> VBTree::InsertRec(Node* node, LeafEntry entry,
       VBT_RETURN_NOT_OK(RecomputeInternalDigest(in));
       VBT_RETURN_NOT_OK(RecomputeInternalDigest(right));
       InsertOutcome out;
-      out.recomputed = true;
       out.split = SplitResult{up, right_node};
       return out;
     }
-    // Child set changed (new sibling): full recombination.
-    VBT_RETURN_NOT_OK(RecomputeInternalDigest(in));
-    InsertOutcome out;
-    out.recomputed = true;
-    return out;
   }
-
-  if (opts_.update_strategy == DigestUpdateStrategy::kIncremental) {
-    in->exponent = ds_.ghash().UpdateExponent(in->exponent, old_child_digest,
-                                              WriterRead(child)->digest);
-    in->digest = ds_.ghash().FromExponent(in->exponent);
-    VBT_RETURN_NOT_OK(ResignNode(in));
-  } else {
-    VBT_RETURN_NOT_OK(RecomputeInternalDigest(in));
-  }
-  InsertOutcome out;
-  out.recomputed = true;
-  return out;
+  VBT_RETURN_NOT_OK(RecomputeInternalDigest(in));
+  return InsertOutcome{};
 }
 
 Status VBTree::InsertEntry(LeafEntry entry) {
-  Digest tuple_digest = entry.tuple_digest;
   std::unique_lock latch(writer_mu_);
   BeginWrite();
-  auto out_or = InsertRec(root_.load(std::memory_order_relaxed),
-                          std::move(entry), tuple_digest);
+  auto out_or =
+      InsertRec(root_.load(std::memory_order_relaxed), std::move(entry));
   if (!out_or.ok()) {
     AbortWrite();
     return out_or.status();
@@ -777,25 +741,13 @@ Status VBTree::InsertEntry(LeafEntry entry) {
   return Status::OK();
 }
 
-Status VBTree::Insert(const Tuple& tuple, txn_id_t txn) {
+Status VBTree::Insert(const Tuple& tuple) {
   if (signer_ == nullptr) {
     return Status::InvalidArgument(
         "edge replicas cannot process updates; route to the central server");
   }
   // Digest + signature computation happens outside the writer lock.
   VBT_ASSIGN_OR_RETURN(LeafEntry entry, MakeLeafEntry(tuple));
-
-  if (lock_manager_ != nullptr && txn != 0) {
-    // X-lock the root-to-leaf path digests (§3.4 Insert).
-    std::vector<lock_id_t> ids;
-    {
-      std::shared_lock latch(writer_mu_);
-      CollectPathIds(root_.load(std::memory_order_acquire), tuple.key(), &ids);
-    }
-    for (lock_id_t id : ids) {
-      VBT_RETURN_NOT_OK(lock_manager_->Acquire(txn, id, LockMode::kExclusive));
-    }
-  }
   return InsertEntry(std::move(entry));
 }
 
@@ -907,24 +859,10 @@ Result<bool> VBTree::DeleteRec(Node* node, int64_t lo, int64_t hi,
   return changed;
 }
 
-Result<size_t> VBTree::DeleteRange(int64_t lo, int64_t hi, txn_id_t txn) {
+Result<size_t> VBTree::DeleteRange(int64_t lo, int64_t hi) {
   if (signer_ == nullptr) {
     return Status::InvalidArgument(
         "edge replicas cannot process updates; route to the central server");
-  }
-  if (lo > hi) return static_cast<size_t>(0);
-
-  if (lock_manager_ != nullptr && txn != 0) {
-    // X-lock all digests on the paths to the affected leaves (§3.4
-    // Delete: lock, remove, then recompute up to the root).
-    std::vector<lock_id_t> ids;
-    {
-      std::shared_lock latch(writer_mu_);
-      CollectRangePathIds(root_.load(std::memory_order_acquire), lo, hi, &ids);
-    }
-    for (lock_id_t id : ids) {
-      VBT_RETURN_NOT_OK(lock_manager_->Acquire(txn, id, LockMode::kExclusive));
-    }
   }
   return DeleteRangeLocked(lo, hi);
 }
@@ -988,9 +926,7 @@ Result<size_t> VBTree::DeleteRangeLocked(int64_t lo, int64_t hi) {
 
 const VBTree::Node* VBTree::FindEnvelopeTop(const KeyRange& range, ReadGuard* g,
                                             Signature* top_sig) const {
-  const Node* node = (g != nullptr)
-                         ? g->root_seen
-                         : root_.load(std::memory_order_acquire);
+  const Node* node = g->root_seen;
   if (placement_.load(std::memory_order_acquire) != nullptr) {
     // Lineage shard: the only signature that proves THIS shard's identity
     // (name + range) is the root's binding, so every VO anchors at the
@@ -1001,13 +937,8 @@ const VBTree::Node* VBTree::FindEnvelopeTop(const KeyRange& range, ReadGuard* g,
     // concurrent commit restarts in-flight reads here. That is the
     // deliberate price of O(height) splits; RotateKey's re-sign clears
     // the lineage and restores envelope-top anchoring (DESIGN.md §10).
-    const NodeContent* c;
-    if (g != nullptr) {
-      c = g->Read(node);
-      if (c == nullptr) return nullptr;
-    } else {
-      c = ColdRead(node);
-    }
+    const NodeContent* c = g->Read(node);
+    if (c == nullptr) return nullptr;
     *top_sig = c->binding;
     return node;
   }
@@ -1018,63 +949,22 @@ const VBTree::Node* VBTree::FindEnvelopeTop(const KeyRange& range, ReadGuard* g,
   // and word-validating the descent would make ANY churn invalidate ALL
   // concurrent reads. Only a key/child layout change (validated through
   // the snapshot's routing generation) can re-route this query.
-  const NodeContent* c = (g != nullptr) ? g->ReadRouting(node) : ColdRead(node);
+  const NodeContent* c = g->ReadRouting(node);
   while (!node->is_leaf) {
     const auto* in = static_cast<const Internal*>(c);
     size_t ci_lo = in->ChildIndex(range.lo);
     size_t ci_hi = in->ChildIndex(range.hi);
     if (ci_lo != ci_hi) break;  // paths diverge: this is the LCA
     node = in->children[ci_lo];
-    c = (g != nullptr) ? g->ReadRouting(node) : ColdRead(node);
+    c = g->ReadRouting(node);
   }
   // The top itself joins the exact read set: its signature is the VO's
   // signed anchor and BuildVONode re-reads it, so both reads must come
   // from the same word era for the anchor to match the body.
-  if (g != nullptr) {
-    c = g->Read(node);
-    if (c == nullptr) return nullptr;
-  }
+  c = g->Read(node);
+  if (c == nullptr) return nullptr;
   *top_sig = c->sig;
   return node;
-}
-
-void VBTree::CollectEnvelopeIds(const Node* node, const KeyRange& range,
-                                std::vector<lock_id_t>* ids) const {
-  ids->push_back(node->id);
-  if (node->is_leaf) return;
-  const auto* in = static_cast<const Internal*>(ColdRead(node));
-  for (size_t i = 0; i < in->children.size(); ++i) {
-    std::optional<int64_t> span_lo, span_hi;
-    in->ChildSpan(i, &span_lo, &span_hi);
-    bool overlap = (!span_lo.has_value() || *span_lo <= range.hi) &&
-                   (!span_hi.has_value() || *span_hi > range.lo);
-    if (overlap) CollectEnvelopeIds(in->children[i], range, ids);
-  }
-}
-
-void VBTree::CollectPathIds(const Node* node, int64_t key,
-                            std::vector<lock_id_t>* ids) const {
-  ids->push_back(node->id);
-  if (node->is_leaf) return;
-  const auto* in = static_cast<const Internal*>(ColdRead(node));
-  CollectPathIds(in->children[in->ChildIndex(key)], key, ids);
-}
-
-void VBTree::CollectRangePathIds(const Node* node, int64_t lo, int64_t hi,
-                                 std::vector<lock_id_t>* ids) const {
-  // The delete transaction locks the paths from the root to every
-  // affected leaf — equivalently the enveloping subtree plus the path
-  // down to its top.
-  ids->push_back(node->id);
-  if (node->is_leaf) return;
-  const auto* in = static_cast<const Internal*>(ColdRead(node));
-  for (size_t i = 0; i < in->children.size(); ++i) {
-    std::optional<int64_t> span_lo, span_hi;
-    in->ChildSpan(i, &span_lo, &span_hi);
-    bool overlap = (!span_lo.has_value() || *span_lo <= hi) &&
-                   (!span_hi.has_value() || *span_hi > lo);
-    if (overlap) CollectRangePathIds(in->children[i], lo, hi, ids);
-  }
 }
 
 Status VBTree::BuildVONode(const Node* node, int depth, const SelectQuery& q,
@@ -1102,9 +992,7 @@ Status VBTree::BuildVONode(const Node* node, int depth, const SelectQuery& q,
       // A fetch failure is only trusted (reported as tampering) if the
       // read set validates afterwards; otherwise the attempt restarts —
       // a concurrent writer may simply have won the race to the store.
-      VBT_ASSIGN_OR_RETURN(Tuple t, g->memo != nullptr
-                                        ? g->memo->Fetch(e, fetch)
-                                        : fetch(e.key));
+      VBT_ASSIGN_OR_RETURN(Tuple t, g->memo->Fetch(e, fetch));
       if (!q.MatchesConditions(t)) {
         // Non-key predicate gap inside the range (§3.3 Selection on
         // non-key attributes).
@@ -1216,7 +1104,7 @@ Status VBTree::RunSelectWithRestarts(const SelectQuery& q,
       std::this_thread::yield();
       *latch_wait_us += ElapsedUs(t0);
     }
-    if (memo != nullptr) memo->staging.clear();
+    memo->staging.clear();
     ReadGuard g;
     g.root_src = &root_;
     g.root_seen = root_.load(std::memory_order_acquire);
@@ -1240,9 +1128,9 @@ Status VBTree::RunSelectWithRestarts(const SelectQuery& q,
       continue;
     }
     tmp.read_version = label;
-    if (s.ok() && memo != nullptr) memo->Commit();
+    if (s.ok()) memo->Commit();
     *out = std::move(tmp);
-    if (keep != nullptr) *keep = std::move(g);
+    *keep = std::move(g);
     return s;
   }
   // Pessimistic fallback: a shared hold of the writer mutex blocks
@@ -1256,37 +1144,11 @@ Status VBTree::RunSelectWithRestarts(const SelectQuery& q,
 }
 
 Result<QueryOutput> VBTree::ExecuteSelect(const SelectQuery& query,
-                                          const TupleFetcher& fetch,
-                                          txn_id_t txn) const {
-  SelectQuery q = query;
-  q.NormalizeProjection();
-  VBT_RETURN_NOT_OK(ValidateSelect(q));
-
-  if (lock_manager_ != nullptr && txn != 0) {
-    // S-lock the digests of the enveloping subtree (§3.4), so concurrent
-    // deletes on overlapping subtrees serialize with this query.
-    std::vector<lock_id_t> ids;
-    {
-      std::shared_lock latch(writer_mu_);
-      Signature unused_sig;
-      const Node* top = FindEnvelopeTop(q.range, /*g=*/nullptr, &unused_sig);
-      CollectEnvelopeIds(top, q.range, &ids);
-    }
-    for (lock_id_t id : ids) {
-      VBT_RETURN_NOT_OK(lock_manager_->Acquire(txn, id, LockMode::kShared));
-    }
-  }
-
-  olc::EpochReclaimer::Pin pin(&reclaimer_);
-  QueryOutput out;
-  uint64_t restarts = 0;
-  uint64_t latch_wait = 0;
-  Status s = RunSelectWithRestarts(q, fetch, /*under_fallback=*/false, &out,
-                                   /*keep=*/nullptr, &restarts, &latch_wait,
-                                   /*memo=*/nullptr);
-  out.stats.olc_restarts = restarts;
-  VBT_RETURN_NOT_OK(s);
-  return out;
+                                          const TupleFetcher& fetch) const {
+  VBT_ASSIGN_OR_RETURN(std::vector<QueryOutput> outs,
+                       ExecuteSelectBatch({&query, 1}, fetch));
+  VBT_RETURN_NOT_OK(outs[0].status);
+  return std::move(outs[0]);
 }
 
 Result<std::vector<QueryOutput>> VBTree::ExecuteSelectBatch(
@@ -1451,8 +1313,7 @@ Status VBTree::ResignAll(Signer* new_signer, uint32_t new_key_version,
     // Retire the lineage: every signature is being recomputed anyway, so
     // re-home the digest domain under the shard's own name. The placement
     // (and its per-write binding refresh) is cleared below on success.
-    ds_ = DigestSchema(old_ds.db_name(), *rebind_table_name, old_ds.schema(),
-                       old_ds.hash_algorithm(), old_ds.modulus_bits());
+    ds_ = DigestSchema(old_ds.db_name(), *rebind_table_name, old_ds.schema());
     ds_.set_counters(counters_);
   }
   BeginWrite();
@@ -1499,8 +1360,8 @@ Status VBTree::BindPlacement(std::string verify_name, int64_t lo, int64_t hi) {
   // root snapshot can be patched in place (no clone/word ceremony).
   Node* root = root_.load(std::memory_order_relaxed);
   NodeContent* c = root->content.load(std::memory_order_relaxed);
-  Digest bd = ShardBindingDigest(opts_.hash_algo, ds_.db_name(),
-                                 p->verify_name, p->lo, p->hi, c->digest);
+  Digest bd = ShardBindingDigest(ds_.db_name(), p->verify_name, p->lo, p->hi,
+                                 c->digest);
   auto sig_or = SignCounted(bd);
   if (!sig_or.ok()) {
     delete p;
@@ -1509,11 +1370,6 @@ Status VBTree::BindPlacement(std::string verify_name, int64_t lo, int64_t hi) {
   c->binding = sig_or.MoveValueUnsafe();
   delete placement_.exchange(p, std::memory_order_release);
   return Status::OK();
-}
-
-Signature VBTree::binding_signature() const {
-  std::shared_lock latch(writer_mu_);
-  return ColdRead(root_.load(std::memory_order_acquire))->binding;
 }
 
 VBTree::Node* VBTree::CloneSubtree(const Node* src, VBTree* dst) const {
@@ -1527,7 +1383,6 @@ VBTree::Node* VBTree::CloneSubtree(const Node* src, VBTree* dst) const {
   const auto* src_in = static_cast<const Internal*>(c);
   auto* in = new Internal();
   in->digest = c->digest;
-  in->exponent = c->exponent;
   in->sig = c->sig;
   in->keys = src_in->keys;
   in->children.reserve(src_in->children.size());
@@ -1546,7 +1401,7 @@ Result<std::unique_ptr<VBTree>> VBTree::CloneRange(std::string verify_name,
   }
   if (lo > hi) return Status::InvalidArgument("empty clone range");
   auto child = std::unique_ptr<VBTree>(
-      new VBTree(ds_, opts_, signer_, lock_manager_));
+      new VBTree(ds_, opts_, signer_));
   child->counters_ = counters_;
   {
     std::shared_lock latch(writer_mu_);
@@ -1662,9 +1517,8 @@ Result<size_t> VBTree::AuditSignatures(Recoverer* recoverer) const {
       p != nullptr) {
     const NodeContent* rc = ColdRead(root_.load(std::memory_order_acquire));
     VBT_ASSIGN_OR_RETURN(Digest bd, recoverer->Recover(rc->binding));
-    Digest expect = ShardBindingDigest(opts_.hash_algo, ds_.db_name(),
-                                       p->verify_name, p->lo, p->hi,
-                                       rc->digest);
+    Digest expect = ShardBindingDigest(ds_.db_name(), p->verify_name, p->lo,
+                                       p->hi, rc->digest);
     if (!(bd == expect)) {
       return Status::VerificationFailure(
           "root placement binding signature does not match");
@@ -1843,9 +1697,6 @@ void VBTree::SerializeTo(ByteWriter* w) const {
   w->PutString(ds_.db_name());
   w->PutString(ds_.table_name());
   ds_.schema().Serialize(w);
-  w->PutU8(static_cast<uint8_t>(ds_.hash_algorithm()));
-  w->PutU8(static_cast<uint8_t>(opts_.modulus_bits));
-  w->PutU8(static_cast<uint8_t>(opts_.update_strategy));
   w->PutU32(opts_.key_version);
   w->PutU32(static_cast<uint32_t>(opts_.config.max_internal));
   w->PutU32(static_cast<uint32_t>(opts_.config.max_leaf));
@@ -1930,30 +1781,14 @@ Result<VBTree::Node*> VBTree::DeserializeNode(ByteReader* r,
 }
 
 Result<std::unique_ptr<VBTree>> VBTree::Deserialize(ByteReader* r,
-                                                    Signer* signer,
-                                                    LockManager* lock_manager) {
+                                                    Signer* signer) {
   VBT_ASSIGN_OR_RETURN(uint32_t magic, r->ReadU32());
   if (magic != kTreeMagic) return Status::Corruption("bad VB-tree magic");
   VBT_ASSIGN_OR_RETURN(std::string db, r->ReadString());
   VBT_ASSIGN_OR_RETURN(std::string table, r->ReadString());
   VBT_ASSIGN_OR_RETURN(Schema schema, Schema::Deserialize(r));
-  VBT_ASSIGN_OR_RETURN(uint8_t algo, r->ReadU8());
-  VBT_ASSIGN_OR_RETURN(uint8_t modulus_bits, r->ReadU8());
-  VBT_ASSIGN_OR_RETURN(uint8_t strategy, r->ReadU8());
   // All header fields come from an untrusted stream: validate before use.
-  if (algo > static_cast<uint8_t>(HashAlgorithm::kMd5)) {
-    return Status::Corruption("bad hash algorithm");
-  }
-  if (modulus_bits < 8 || modulus_bits > 128) {
-    return Status::Corruption("bad modulus bits");
-  }
-  if (strategy > static_cast<uint8_t>(DigestUpdateStrategy::kIncremental)) {
-    return Status::Corruption("bad digest update strategy");
-  }
   VBTreeOptions opts;
-  opts.hash_algo = static_cast<HashAlgorithm>(algo);
-  opts.modulus_bits = modulus_bits;
-  opts.update_strategy = static_cast<DigestUpdateStrategy>(strategy);
   VBT_ASSIGN_OR_RETURN(opts.key_version, r->ReadU32());
   VBT_ASSIGN_OR_RETURN(uint32_t max_internal, r->ReadU32());
   VBT_ASSIGN_OR_RETURN(uint32_t max_leaf, r->ReadU32());
@@ -1981,9 +1816,9 @@ Result<std::unique_ptr<VBTree>> VBTree::Deserialize(ByteReader* r,
     binding.assign(b.data(), b.data() + b.size());
   }
 
-  DigestSchema ds(db, table, schema, opts.hash_algo, opts.modulus_bits);
-  auto tree = std::unique_ptr<VBTree>(
-      new VBTree(std::move(ds), opts, signer, lock_manager));
+  DigestSchema ds(db, table, schema);
+  auto tree =
+      std::unique_ptr<VBTree>(new VBTree(std::move(ds), opts, signer));
 
   uint64_t max_id = 0;
   VBT_ASSIGN_OR_RETURN(Node* new_root,
@@ -2001,28 +1836,7 @@ Result<std::unique_ptr<VBTree>> VBTree::Deserialize(ByteReader* r,
   tree->size_.store(size, std::memory_order_relaxed);
   tree->version_.store(version, std::memory_order_relaxed);
   tree->next_node_id_ = max_id + 1;
-  tree->InitExponents(new_root);
   return tree;
-}
-
-void VBTree::InitExponents(Node* node) {
-  NodeContent* content = node->content.load(std::memory_order_relaxed);
-  if (node->is_leaf) {
-    auto* leaf = static_cast<Leaf*>(content);
-    std::vector<Digest> ds;
-    ds.reserve(leaf->entries.size());
-    for (const LeafEntry& e : leaf->entries) ds.push_back(e.tuple_digest);
-    leaf->exponent = ds_.ghash().ExponentProduct(ds);
-    return;
-  }
-  auto* in = static_cast<Internal*>(content);
-  std::vector<Digest> ds;
-  ds.reserve(in->children.size());
-  for (Node* c : in->children) {
-    InitExponents(c);
-    ds.push_back(c->content.load(std::memory_order_relaxed)->digest);
-  }
-  in->exponent = ds_.ghash().ExponentProduct(ds);
 }
 
 }  // namespace vbtree

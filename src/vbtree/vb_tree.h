@@ -19,40 +19,17 @@
 #include "common/serde.h"
 #include "crypto/signer.h"
 #include "query/predicate.h"
-#include "txn/lock_manager.h"
 #include "vbtree/digest_schema.h"
 #include "vbtree/verification_object.h"
 
 namespace vbtree {
 
-/// How the central server maintains node digests under updates. All three
-/// strategies produce bit-identical digests (property-tested); they differ
-/// only in server-side cost. Clients always verify with the chained
-/// procedure of §3.3.
-enum class DigestUpdateStrategy {
-  /// Recombine changed nodes with the chained hash — one modular
-  /// exponentiation per child. The literal reading of §3.4's recompute.
-  kRecomputeChained,
-  /// Recombine via the exponent product — one multiplication per child
-  /// plus a single exponentiation.
-  kRecomputeProduct,
-  /// Maintain each node's exponent product and patch it in O(1) with a
-  /// modular inverse when one child digest changes. This restores the
-  /// paper's O(1)-per-node insert claim, which is unsound as stated for
-  /// nested digests (see DESIGN.md): d_old is invertible mod 2^k because
-  /// every combined digest is an odd power of G.
-  kIncremental,
-};
-
-/// Construction parameters for a VB-tree.
+/// Construction parameters for a VB-tree. The digest rule is fixed (see
+/// Insert and DESIGN.md §1).
 struct VBTreeOptions {
   BTreeConfig config{};
-  HashAlgorithm hash_algo = HashAlgorithm::kSha256;
-  /// k in the commutative-hash modulus n = 2^k.
-  int modulus_bits = 128;
   /// Version of the private key used to sign digests (§3.4).
   uint32_t key_version = 1;
-  DigestUpdateStrategy update_strategy = DigestUpdateStrategy::kRecomputeChained;
 };
 
 /// Execution statistics for one query, used by the benchmark harness.
@@ -61,8 +38,6 @@ struct VBQueryStats {
   int subtree_height = 0;
   /// Nodes of the enveloping subtree the edge server touched.
   size_t nodes_visited = 0;
-  /// Optimistic-read restarts this query needed (0 on a quiesced tree).
-  uint64_t olc_restarts = 0;
 };
 
 /// Cross-query statistics for one batched execution (ExecuteSelectBatch):
@@ -132,12 +107,8 @@ struct QueryOutput {
 /// and release each touched word with a version bump; replaced snapshots
 /// are reclaimed epoch-based so in-flight readers never dereference
 /// freed memory. A validated read therefore saw one consistent signed
-/// tree state and is labeled with its exact version. On top of that,
-/// when a LockManager and a txn id are supplied, operations follow
-/// §3.4's digest-locking protocol (queries S-lock their enveloping
-/// subtree, inserts X-lock the root-to-leaf path, deletes X-lock the
-/// affected subtree), with locks held until the caller releases the
-/// transaction.
+/// tree state and is labeled with its exact version. This replaces §3.4's
+/// digest-locking protocol: no operation takes a per-digest lock.
 class VBTree {
  public:
   /// Fetches the row stored under a leaf entry's key; supplied by the
@@ -145,8 +116,7 @@ class VBTree {
   /// tampered with, which the client-side Verifier will expose).
   using TupleFetcher = std::function<Result<Tuple>(int64_t key)>;
 
-  VBTree(DigestSchema digest_schema, VBTreeOptions opts, Signer* signer,
-         LockManager* lock_manager = nullptr);
+  VBTree(DigestSchema digest_schema, VBTreeOptions opts, Signer* signer);
   ~VBTree();
 
   VBTree(const VBTree&) = delete;
@@ -156,24 +126,26 @@ class VBTree {
   /// computing and signing every digest (attribute, tuple, node, root).
   Status BulkLoad(std::span<const Tuple> rows);
 
-  /// Inserts one tuple (§3.4 Insert): digests along the root-to-leaf path
-  /// are folded incrementally via D ← D^{t} mod n and re-signed; node
-  /// splits trigger full recomputation of the affected nodes.
-  Status Insert(const Tuple& tuple, txn_id_t txn = 0);
+  /// Inserts one tuple (§3.4 Insert). The leaf folds the tuple digest in
+  /// with one Extend (D ← D^{t} mod n, valid because a leaf digest is G
+  /// raised to the product of its tuple digests); every other changed
+  /// node — split halves and the path above the leaf — recomputes with
+  /// CombineDigests over its children. Every changed node is re-signed.
+  Status Insert(const Tuple& tuple);
 
-  /// Deletes all keys in [lo, hi] (§3.4 Delete): X-locks the path, removes
-  /// the entries, then recomputes digests bottom-up. Nodes are freed only
-  /// when empty (the Johnson-Shasha policy the paper adopts). Returns the
-  /// number of deleted tuples.
-  Result<size_t> DeleteRange(int64_t lo, int64_t hi, txn_id_t txn = 0);
+  /// Deletes all keys in [lo, hi] (§3.4 Delete): removes the entries,
+  /// then recomputes digests bottom-up. Nodes are freed only when empty
+  /// (the Johnson-Shasha policy the paper adopts). Returns the number of
+  /// deleted tuples.
+  Result<size_t> DeleteRange(int64_t lo, int64_t hi);
 
   /// Edge-server query execution (§3.3): selection on the key range,
   /// conjunctive non-key conditions (gaps), and projection. Returns the
-  /// result rows in key order plus the verification object. Latch-free:
-  /// the traversal is optimistic and restarts on writer interference.
+  /// result rows in key order plus the verification object. A batch of
+  /// one: ExecuteSelectBatch({query}), with the slot's status returned as
+  /// the error.
   Result<QueryOutput> ExecuteSelect(const SelectQuery& query,
-                                    const TupleFetcher& fetch,
-                                    txn_id_t txn = 0) const;
+                                    const TupleFetcher& fetch) const;
 
   /// Batched edge-server execution: every query traverses latch-free and
   /// the batch converges on ONE validated tree version (stragglers whose
@@ -188,8 +160,7 @@ class VBTree {
   /// validation or execution failures are carried in outs[i].status
   /// instead of failing the batch — one bad predicate no longer poisons
   /// N−1 good answers; the outer Result is reserved for tree-level
-  /// errors. Does not take §3.4 digest locks: edge replicas run without
-  /// a LockManager.
+  /// errors.
   Result<std::vector<QueryOutput>> ExecuteSelectBatch(
       std::span<const SelectQuery> queries, const TupleFetcher& fetch,
       VBBatchStats* batch_stats = nullptr) const;
@@ -222,18 +193,13 @@ class VBTree {
   /// after BulkLoad.
   Status BindPlacement(std::string verify_name, int64_t lo, int64_t hi);
 
-  bool has_placement() const {
-    return placement_.load(std::memory_order_acquire) != nullptr;
-  }
   /// Null when the tree has no placement. The pointee is immutable.
   const ShardPlacement* placement() const {
     return placement_.load(std::memory_order_acquire);
   }
-  /// Current root binding signature (empty when no placement).
-  Signature binding_signature() const;
 
-  /// Deep-copies this tree — shells, snapshots, digests, signatures and
-  /// cached exponents — then trims the copy to [lo, hi] with two boundary
+  /// Deep-copies this tree — shells, snapshots, digests and signatures —
+  /// then trims the copy to [lo, hi] with two boundary
   /// range-deletes and binds `verify_name` over the result. Leaf entries
   /// address rows by key, so the copy points at the same rows wherever
   /// they are stored, and its signatures stay valid verbatim; only the
@@ -327,8 +293,7 @@ class VBTree {
   /// Reconstructs a tree from SerializeTo output. `signer` may be null
   /// (edge servers cannot sign; Insert/DeleteRange then fail).
   static Result<std::unique_ptr<VBTree>> Deserialize(
-      ByteReader* r, Signer* signer = nullptr,
-      LockManager* lock_manager = nullptr);
+      ByteReader* r, Signer* signer = nullptr);
 
   /// Routes Cost_h/Cost_k accounting for digest computation.
   void set_counters(CryptoCounters* counters) {
@@ -403,7 +368,6 @@ class VBTree {
     Node* right = nullptr;
   };
   struct InsertOutcome {
-    bool recomputed = false;  // digests below changed non-incrementally
     std::optional<SplitResult> split;
   };
 
@@ -454,8 +418,7 @@ class VBTree {
   // --- build helpers ---
   Result<LeafEntry> MakeLeafEntry(const Tuple& tuple);
 
-  Result<InsertOutcome> InsertRec(Node* node, LeafEntry entry,
-                                  const Digest& tuple_digest);
+  Result<InsertOutcome> InsertRec(Node* node, LeafEntry entry);
   Result<bool> DeleteRec(Node* node, int64_t lo, int64_t hi, size_t* removed);
 
   /// Shared body of Insert and ReplayInsert (writer lock + recursion +
@@ -465,8 +428,8 @@ class VBTree {
   Result<size_t> DeleteRangeLocked(int64_t lo, int64_t hi);
 
   // --- query helpers (latch-free; record into the ReadGuard) ---
-  /// Static validation shared by ExecuteSelect and ExecuteSelectBatch;
-  /// `q` must already be projection-normalized.
+  /// Static validation of one batch slot; `q` must already be
+  /// projection-normalized.
   Status ValidateSelect(const SelectQuery& q) const;
   /// One optimistic traversal attempt. A null return from the guard's
   /// Read (locked node observed) aborts the attempt silently — the
@@ -478,16 +441,14 @@ class VBTree {
   /// attempt, validates root pointer + read set against the loaded
   /// version label, yields between repeated restarts, and escalates to
   /// a shared writer_mu_ acquisition after kMaxOptimisticAttempts.
-  /// `memo` (batches only) serves fetches and commits an attempt's
-  /// staged rows once it validates; `keep` (optional) receives the
-  /// validated read set.
+  /// `memo` serves fetches and commits an attempt's staged rows once it
+  /// validates; `keep` receives the validated read set.
   Status RunSelectWithRestarts(const SelectQuery& q, const TupleFetcher& fetch,
                                bool under_fallback, QueryOutput* out,
                                ReadGuard* keep, uint64_t* restarts,
                                uint64_t* latch_wait_us, FetchMemo* memo) const;
   bool ConsumeInjectedRestart() const;
-  /// Descends to the LCA of the range's two path ends. `g` may be null
-  /// for cold callers holding writer_mu_.
+  /// Descends to the LCA of the range's two path ends.
   const Node* FindEnvelopeTop(const KeyRange& range, ReadGuard* g,
                               Signature* top_sig) const;
   Status BuildVONode(const Node* node, int depth, const SelectQuery& q,
@@ -496,13 +457,6 @@ class VBTree {
                      VONode* vo_node) const;
 
   // --- cold traversals (shared writer_mu_ held by caller) ---
-  void CollectEnvelopeIds(const Node* node, const KeyRange& range,
-                          std::vector<lock_id_t>* ids) const;
-  void CollectPathIds(const Node* node, int64_t key,
-                      std::vector<lock_id_t>* ids) const;
-  void CollectRangePathIds(const Node* node, int64_t lo, int64_t hi,
-                           std::vector<lock_id_t>* ids) const;
-
   Status ResignRec(Node* node, const TupleFetcher& fetch);
   Status CheckDigestRec(const Node* node) const;
   Status CheckStructureRec(const Node* node, std::optional<int64_t> lo,
@@ -514,15 +468,11 @@ class VBTree {
 
   uint64_t NextNodeId() { return next_node_id_++; }
 
-  /// Rebuilds the cached exponent products after deserialization
-  /// (pre-publication: the snapshots are not yet visible to readers).
-  void InitExponents(Node* node);
   static void DeleteSubtree(Node* node);
 
   DigestSchema ds_;
   VBTreeOptions opts_;
-  Signer* signer_;            // null on edge replicas
-  LockManager* lock_manager_; // optional
+  Signer* signer_;  // null on edge replicas
   CryptoCounters* counters_ = nullptr;  // mirror of ds_'s sink (for rebinds)
   /// Shard placement (lineage shards). Set pre-publication (BindPlacement,
   /// Deserialize) or cleared under exclusive writer_mu_ (ResignAll with

@@ -172,9 +172,8 @@ Status Verifier::VerifySelect(const SelectQuery& query,
     // digest the same way. A raw node signature (or a sibling shard's
     // binding, which names a different verify_name/range) recovers to
     // something that cannot equal this hash.
-    computed = ShardBindingDigest(ds_.hash_algorithm(), ds_.db_name(),
-                                  binding_->verify_name, binding_->lo,
-                                  binding_->hi, computed);
+    computed = ShardBindingDigest(ds_.db_name(), binding_->verify_name,
+                                  binding_->lo, binding_->hi, computed);
   }
   if (!(computed == expected)) {
     return Status::VerificationFailure(

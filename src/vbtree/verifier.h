@@ -55,8 +55,8 @@ struct RecoveredSignature {
 class Verifier {
  public:
   /// `digest_schema` must match the central server's (same db/table/
-  /// column names, hash algorithm and modulus); it is distributed to
-  /// clients together with the public key.
+  /// column names); it is distributed to clients together with the
+  /// public key.
   Verifier(DigestSchema digest_schema, Recoverer* recoverer)
       : ds_(std::move(digest_schema)), recoverer_(recoverer) {}
 

@@ -157,6 +157,50 @@ TEST(CommutativeHashTest, CountsCombineOps) {
   EXPECT_EQ(counters.combine_ops, 5u);
 }
 
+/// The paper's chained recombination: a left fold of Extend from
+/// Identity(), one exponentiation per digest.
+Digest ChainedFold(const CommutativeHash& g, const std::vector<Digest>& set) {
+  Digest acc = g.Identity();
+  for (const Digest& d : set) acc = g.Extend(acc, d);
+  return acc;
+}
+
+TEST(CommutativeHashTest, CombineViaExponentMatchesChained) {
+  // Combine folds the exponent product and exponentiates once; the
+  // verifier and every central recompute rely on it equalling §3.3's
+  // chained fold bit for bit.
+  CommutativeHash g;
+  Rng rng(2);
+  for (int trial = 0; trial < 30; ++trial) {
+    std::vector<Digest> set;
+    size_t n = rng.Uniform(20);
+    for (size_t i = 0; i < n; ++i) set.push_back(RandomDigest(&rng));
+    EXPECT_EQ(g.Combine(set), ChainedFold(g, set)) << "n=" << n;
+  }
+}
+
+TEST(CommutativeHashTest, CombineViaExponentMatchesChainedSmallModulus) {
+  CommutativeHash g(64);
+  Rng rng(3);
+  std::vector<Digest> set;
+  for (int i = 0; i < 8; ++i) set.push_back(RandomDigest(&rng));
+  EXPECT_EQ(g.Combine(set), ChainedFold(g, set));
+}
+
+TEST(CommutativeHashTest, ZeroDigestFactorIsOne) {
+  // The all-zero digest contributes exponent 1 to both forms: it leaves
+  // any accumulator and any combined set unchanged.
+  CommutativeHash g;
+  Digest zero{};
+  EXPECT_EQ(g.Combine(std::vector<Digest>{zero}), g.Identity());
+  Rng rng(9);
+  Digest d = RandomDigest(&rng);
+  EXPECT_EQ(g.Combine(std::vector<Digest>{d, zero}),
+            g.Combine(std::vector<Digest>{d}));
+  Digest acc = g.Extend(g.Identity(), d);
+  EXPECT_EQ(g.Extend(acc, zero), acc);
+}
+
 /// Property sweep: any permutation of any subset combines to the same
 /// digest (the foundation of the paper's "VO is just a set" claim).
 class CommutativitySweep : public ::testing::TestWithParam<int> {};

@@ -202,18 +202,6 @@ TEST_F(DeltaTest, TamperedDeltaSignatureCaughtByClients) {
   // never silently accepted as authentic.
 }
 
-TEST_F(DeltaTest, IncrementalStrategyDeltasReplay) {
-  CentralServer::Options options;
-  options.tree_opts.config.max_internal = 8;
-  options.tree_opts.update_strategy = DigestUpdateStrategy::kIncremental;
-  SetUpWith(options);
-  ApplyUpdates(60, true);
-  ASSERT_TRUE(testutil::PublishDelta(central_.get(), "t", edge_.get(), &net_).ok());
-  ExpectEdgeMatchesCentral();
-  auto r = Query(0, 99);
-  EXPECT_TRUE(r.verification.ok()) << r.verification.ToString();
-}
-
 TEST_F(DeltaTest, RsaDeltasReplay) {
   // PKCS#1 v1.5 signing is deterministic, so MakeEntryMaterial equals the
   // signatures the tree stores — required for delta correctness.

@@ -215,7 +215,7 @@ Result<std::vector<std::vector<ResultRow>>> Authenticate(
   KeyDirectory* keys = fx->central->key_directory();
   VBT_ASSIGN_OR_RETURN(std::shared_ptr<Recoverer> map_rec,
                        keys->RecovererFor(decoded.map.key_version, 10));
-  VBT_RETURN_NOT_OK(decoded.map.Verify(map_rec.get(), HashAlgorithm::kSha256));
+  VBT_RETURN_NOT_OK(decoded.map.Verify(map_rec.get()));
   if (decoded.map.table != "t" ||
       decoded.map.db_name != fx->central->db_name()) {
     return Status::VerificationFailure("map bound to another table");

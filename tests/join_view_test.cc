@@ -99,7 +99,7 @@ TEST_F(JoinViewTest, ViewIsQueryableAndVerifiable) {
   EXPECT_EQ(map->shard_name(0), "orders_customers");
   auto rec = central_->key_directory()->RecovererFor(map->key_version, 10);
   ASSERT_TRUE(rec.ok());
-  EXPECT_TRUE(map->Verify(rec->get(), HashAlgorithm::kSha256).ok());
+  EXPECT_TRUE(map->Verify(rec->get()).ok());
 
   // Distribute the view to an edge server and run an authenticated query.
   EdgeServer edge("edge-1");

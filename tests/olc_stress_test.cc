@@ -45,8 +45,7 @@ struct StressDb {
     VBTreeOptions opts;
     opts.config.max_internal = fanout;
     opts.config.max_leaf = fanout;
-    DigestSchema ds("stressdb", "t", schema, opts.hash_algo,
-                    opts.modulus_bits);
+    DigestSchema ds("stressdb", "t", schema);
     tree = std::make_unique<VBTree>(std::move(ds), opts, &signer);
     Rng rng(42);
     std::vector<Tuple> rows = testutil::MakeRows(schema, n, &rng);
@@ -55,10 +54,7 @@ struct StressDb {
   }
 
   Verifier MakeVerifier() {
-    return Verifier(DigestSchema("stressdb", "t", schema,
-                                 tree->options().hash_algo,
-                                 tree->options().modulus_bits),
-                    &recoverer);
+    return Verifier(DigestSchema("stressdb", "t", schema), &recoverer);
   }
 
   SelectQuery RangeQuery(int64_t lo, int64_t hi) const {
@@ -66,6 +62,18 @@ struct StressDb {
     q.table = "t";
     q.range = KeyRange{lo, hi};
     return q;
+  }
+
+  /// `q` as a batch of one — exactly what ExecuteSelect runs — adding the
+  /// batch's counted restarts to `*restarts`.
+  Result<QueryOutput> SelectOne(const SelectQuery& q, uint64_t* restarts) {
+    VBBatchStats bs;
+    VBT_ASSIGN_OR_RETURN(std::vector<QueryOutput> outs,
+                         tree->ExecuteSelectBatch({&q, 1}, store.Fetcher(),
+                                                  &bs));
+    *restarts += bs.olc_restarts;
+    VBT_RETURN_NOT_OK(outs[0].status);
+    return std::move(outs[0]);
   }
 
   /// Inserts churn key base+seq (store first, then tree).
@@ -129,9 +137,8 @@ TEST(OLCStressTest, ReadersRaceInsertsExactAtLabel) {
       int laps_after_done = 0;
       while (laps_after_done < 2) {
         if (done.load(std::memory_order_acquire)) laps_after_done++;
-        auto out = db.tree->ExecuteSelect(q, db.store.Fetcher());
+        auto out = db.SelectOne(q, &restarts);
         ASSERT_TRUE(out.ok()) << out.status().ToString();
-        restarts += out->stats.olc_restarts;
         ExpectExactAtLabel(&db, q, *out, kChurn);
       }
       total_restarts.fetch_add(restarts, std::memory_order_relaxed);
@@ -145,9 +152,10 @@ TEST(OLCStressTest, ReadersRaceInsertsExactAtLabel) {
   EXPECT_TRUE(db.tree->CheckDigestConsistency().ok());
   // A final quiesced read restarts zero times and sees everything.
   SelectQuery q = db.RangeQuery(0, static_cast<int64_t>(kBase) + kChurn);
-  auto out = db.tree->ExecuteSelect(q, db.store.Fetcher());
+  uint64_t final_restarts = 0;
+  auto out = db.SelectOne(q, &final_restarts);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->stats.olc_restarts, 0u);
+  EXPECT_EQ(final_restarts, 0u);
   ExpectExactAtLabel(&db, q, *out, kChurn);
 }
 
@@ -274,6 +282,73 @@ TEST(OLCStressTest, ReadersStableUnderSplitsAndMerges) {
 }
 
 // ---------------------------------------------------------------------------
+// Two writers delete disjoint ranges while verified readers run: the
+// writers serialize inside the tree, and every answer is exact for its
+// label.
+// ---------------------------------------------------------------------------
+
+TEST(OLCStressTest, DisjointDeletersWithVerifiedReaders) {
+  constexpr size_t kBase = 4000;
+  constexpr int kDeletesPerWriter = 10;
+  constexpr int64_t kRun = 10;  // keys per delete
+  StressDb db(kBase);
+
+  std::atomic<int> writers_done{0};
+  auto deleter = [&](int64_t origin) {
+    for (int i = 0; i < kDeletesPerWriter; ++i) {
+      const int64_t lo = origin + 20 * i;
+      auto removed = db.tree->DeleteRange(lo, lo + kRun - 1);
+      ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+      ASSERT_EQ(*removed, static_cast<size_t>(kRun));
+      db.store.RemoveKeyRange(lo, lo + kRun - 1);
+    }
+    writers_done.fetch_add(1, std::memory_order_release);
+  };
+  std::thread w1(deleter, 0);
+  std::thread w2(deleter, 3000);
+
+  // Reader 1: the untouched middle region answers identically throughout.
+  std::thread middle([&] {
+    SelectQuery q = db.RangeQuery(1000, 1999);
+    Verifier v = db.MakeVerifier();
+    int laps_after_done = 0;
+    while (laps_after_done < 2) {
+      if (writers_done.load(std::memory_order_acquire) == 2) laps_after_done++;
+      auto out = db.tree->ExecuteSelect(q, db.store.Fetcher());
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ASSERT_EQ(out->rows.size(), 1000u);
+      ASSERT_EQ(out->rows.front().key, 1000);
+      ASSERT_EQ(out->rows.back().key, 1999);
+      ASSERT_TRUE(v.VerifySelect(q, out->rows, out->vo).ok());
+    }
+  });
+  // Reader 2: the full domain at label L has lost exactly L runs.
+  std::thread full([&] {
+    SelectQuery q = db.RangeQuery(0, static_cast<int64_t>(kBase) - 1);
+    Verifier v = db.MakeVerifier();
+    uint64_t restarts = 0;
+    int laps_after_done = 0;
+    while (laps_after_done < 2) {
+      if (writers_done.load(std::memory_order_acquire) == 2) laps_after_done++;
+      auto out = db.SelectOne(q, &restarts);
+      ASSERT_TRUE(out.ok()) << out.status().ToString();
+      ASSERT_LE(out->read_version, 2u * kDeletesPerWriter);
+      ASSERT_EQ(out->rows.size(),
+                kBase - static_cast<size_t>(kRun) * out->read_version);
+      ASSERT_TRUE(v.VerifySelect(q, out->rows, out->vo).ok());
+    }
+  });
+  w1.join();
+  w2.join();
+  middle.join();
+  full.join();
+  EXPECT_EQ(db.tree->version(), 2u * kDeletesPerWriter);
+  EXPECT_EQ(db.tree->size(), kBase - 2 * kDeletesPerWriter * kRun);
+  EXPECT_TRUE(db.tree->CheckStructure().ok());
+  EXPECT_TRUE(db.tree->CheckDigestConsistency().ok());
+}
+
+// ---------------------------------------------------------------------------
 // Forced-restart injection: every injected restart is counted exactly
 // once, and the re-executed reads still authenticate.
 // ---------------------------------------------------------------------------
@@ -288,9 +363,8 @@ TEST(OLCStressTest, InjectedRestartsAreCountedSingle) {
   db.tree->InjectRestartsForTest(kQueries);
   uint64_t counted = 0;
   for (int i = 0; i < kQueries; ++i) {
-    auto out = db.tree->ExecuteSelect(q, db.store.Fetcher());
+    auto out = db.SelectOne(q, &counted);
     ASSERT_TRUE(out.ok());
-    counted += out->stats.olc_restarts;
     ExpectExactAtLabel(&db, q, *out, /*churn_total=*/0);
     ASSERT_TRUE(v.VerifySelect(q, out->rows, out->vo).ok());
   }
@@ -299,9 +373,10 @@ TEST(OLCStressTest, InjectedRestartsAreCountedSingle) {
   EXPECT_EQ(counted, static_cast<uint64_t>(kQueries));
 
   // Pool exhausted: the next read is restart-free.
-  auto out = db.tree->ExecuteSelect(q, db.store.Fetcher());
+  uint64_t after = 0;
+  auto out = db.SelectOne(q, &after);
   ASSERT_TRUE(out.ok());
-  EXPECT_EQ(out->stats.olc_restarts, 0u);
+  EXPECT_EQ(after, 0u);
 }
 
 TEST(OLCStressTest, InjectedRestartsAreCountedBatch) {

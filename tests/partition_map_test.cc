@@ -98,8 +98,8 @@ TEST(PartitionMapUnit, SerdeRoundTrip) {
   EXPECT_EQ(back->shards.size(), 4u);
   EXPECT_EQ(back->shards[2].lo, 500);
   EXPECT_EQ(back->sig, map.sig);
-  EXPECT_EQ(back->ContentDigest(HashAlgorithm::kSha256),
-            map.ContentDigest(HashAlgorithm::kSha256));
+  EXPECT_EQ(back->ContentDigest(),
+            map.ContentDigest());
 }
 
 TEST(PartitionMapUnit, WellFormednessRejectsBrokenLayouts) {
@@ -187,26 +187,26 @@ TEST_F(PartitionMapTest, CentralSignsMapAndTamperedCopiesFailVerification) {
 
   auto rec = central_->key_directory()->RecovererFor(map.key_version, 10);
   ASSERT_TRUE(rec.ok());
-  EXPECT_TRUE(map.Verify(rec->get(), HashAlgorithm::kSha256).ok());
+  EXPECT_TRUE(map.Verify(rec->get()).ok());
 
   // A shifted boundary, a renumbered shard, a different epoch, or a
   // retargeted table must all break the signature binding.
   PartitionMap boundary = map;
   boundary.shards[1].hi -= 10;
   boundary.shards[2].lo -= 10;
-  EXPECT_FALSE(boundary.Verify(rec->get(), HashAlgorithm::kSha256).ok());
+  EXPECT_FALSE(boundary.Verify(rec->get()).ok());
 
   PartitionMap renumbered = map;
   std::swap(renumbered.shards[0].shard_id, renumbered.shards[1].shard_id);
-  EXPECT_FALSE(renumbered.Verify(rec->get(), HashAlgorithm::kSha256).ok());
+  EXPECT_FALSE(renumbered.Verify(rec->get()).ok());
 
   PartitionMap epoch = map;
   epoch.epoch += 1;
-  EXPECT_FALSE(epoch.Verify(rec->get(), HashAlgorithm::kSha256).ok());
+  EXPECT_FALSE(epoch.Verify(rec->get()).ok());
 
   PartitionMap retable = map;
   retable.table = "payments";
-  EXPECT_FALSE(retable.Verify(rec->get(), HashAlgorithm::kSha256).ok());
+  EXPECT_FALSE(retable.Verify(rec->get()).ok());
 }
 
 TEST_F(PartitionMapTest, SpanningRangeVerifiesEndToEnd) {

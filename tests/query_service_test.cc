@@ -419,8 +419,7 @@ TEST_F(QueryServiceTest, BatchVerifierMatchesSerialVerifierOutcomes) {
   ASSERT_TRUE(resp.ok()) << resp.status().ToString();
 
   const BatchVerifier::Group group{
-      DigestSchema(central_->db_name(), "items", schema_,
-                   HashAlgorithm::kSha256, 128),
+      DigestSchema(central_->db_name(), "items", schema_),
       std::nullopt, batch.queries, std::move(*resp), /*now=*/10};
   BatchVerifier parallel(BatchVerifier::Options{3});
   BatchVerifier inline_mode(BatchVerifier::Options{0});
@@ -510,8 +509,7 @@ TEST_F(QueryServiceTest, PooledWireCutsVOBytesOnOverlappingRanges) {
 
   // And the answers still authenticate, through the client's check.
   const BatchVerifier::Group group{
-      DigestSchema(central_->db_name(), "items", schema_,
-                   HashAlgorithm::kSha256, 128),
+      DigestSchema(central_->db_name(), "items", schema_),
       std::nullopt, batch.queries, std::move(*wire), /*now=*/10};
   BatchVerifier inline_verifier(BatchVerifier::Options{0});
   CryptoCounters crypto;
@@ -735,8 +733,7 @@ TEST_F(QueryServiceTest, TamperedPooledSignatureStillDetected) {
       continue;
     }
     const BatchVerifier::Group group{
-        DigestSchema(central_->db_name(), "items", schema_,
-                     HashAlgorithm::kSha256, 128),
+        DigestSchema(central_->db_name(), "items", schema_),
         std::nullopt, batch.queries, std::move(*out), /*now=*/10};
     BatchVerifier inline_verifier(BatchVerifier::Options{0});
     CryptoCounters crypto;

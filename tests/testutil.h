@@ -67,9 +67,7 @@ struct TestDb {
   std::string table_name = "t";
 
   DigestSchema MakeDigestSchema() const {
-    return DigestSchema(db_name, table_name, schema,
-                        tree->options().hash_algo,
-                        tree->options().modulus_bits);
+    return DigestSchema(db_name, table_name, schema);
   }
 
   Verifier MakeVerifier() { return Verifier(MakeDigestSchema(), recoverer.get()); }
@@ -146,8 +144,7 @@ inline std::unique_ptr<TestDb> MakeTestDb(size_t n, size_t ncols = 10,
   VBTreeOptions opts;
   opts.config.max_internal = max_fanout;
   opts.config.max_leaf = max_fanout;
-  DigestSchema ds(db->db_name, db->table_name, db->schema, opts.hash_algo,
-                  opts.modulus_bits);
+  DigestSchema ds(db->db_name, db->table_name, db->schema);
   db->tree = std::make_unique<VBTree>(std::move(ds), opts, db->signer.get());
 
   Rng rng(seed);

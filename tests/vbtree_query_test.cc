@@ -157,6 +157,56 @@ TEST(VBTreeQueryTest, InvalidQueriesRejected) {
   EXPECT_FALSE(db->tree->ExecuteSelect(q, db->Fetcher()).ok());
 }
 
+std::vector<uint8_t> VOBytes(const VerificationObject& vo) {
+  ByteWriter w;
+  vo.Serialize(&w);
+  return w.TakeBuffer();
+}
+
+TEST(VBTreeQueryTest, SelectIsABatchOfOne) {
+  // ExecuteSelect(q) is ExecuteSelectBatch({q})[0]: same rows, same VO
+  // bytes, same label — and the slot's status for an invalid query.
+  auto db = MakeTestDb(500, 6, 8);
+  ASSERT_NE(db, nullptr);
+  SelectQuery plain = RangeQuery(*db, 40, 260);
+  SelectQuery projected = RangeQuery(*db, 100, 180);
+  projected.projection = {0, 2, 4};
+  SelectQuery filtered = RangeQuery(*db, 10, 400);
+  filtered.conditions.push_back(
+      ColumnCondition{3, CompareOp::kGe, Value::Str("m")});
+  // Delete and re-insert key 150, so both paths must report label 2.
+  Rng rng(3);
+  Tuple extra = testutil::MakeTuple(db->schema, 150, &rng);
+  ASSERT_TRUE(db->tree->DeleteRange(150, 150).ok());
+  db->store->Put(extra);
+  ASSERT_TRUE(db->tree->Insert(extra).ok());
+  for (const SelectQuery& q : {plain, projected, filtered}) {
+    auto single = db->tree->ExecuteSelect(q, db->Fetcher());
+    auto batch = db->tree->ExecuteSelectBatch({&q, 1}, db->Fetcher());
+    ASSERT_TRUE(single.ok());
+    ASSERT_TRUE(batch.ok());
+    ASSERT_EQ(batch->size(), 1u);
+    const QueryOutput& b = (*batch)[0];
+    ASSERT_TRUE(b.status.ok());
+    ASSERT_FALSE(b.rows.empty());
+    ASSERT_EQ(single->rows.size(), b.rows.size());
+    for (size_t i = 0; i < b.rows.size(); ++i) {
+      EXPECT_EQ(single->rows[i].key, b.rows[i].key);
+      EXPECT_EQ(single->rows[i].values, b.rows[i].values);
+    }
+    EXPECT_EQ(VOBytes(single->vo), VOBytes(b.vo));
+    EXPECT_EQ(single->read_version, 2u);
+    EXPECT_EQ(b.read_version, 2u);
+  }
+  SelectQuery invalid = RangeQuery(*db, 0, 5);
+  invalid.projection = {0, 99};
+  auto single = db->tree->ExecuteSelect(invalid, db->Fetcher());
+  auto batch = db->tree->ExecuteSelectBatch({&invalid, 1}, db->Fetcher());
+  ASSERT_TRUE(batch.ok());
+  EXPECT_FALSE(single.ok());
+  EXPECT_EQ(single.status().code(), (*batch)[0].status.code());
+}
+
 TEST(VBTreeQueryTest, VOSizeIndependentOfTableSize) {
   // The paper's headline claim: for a fixed result size, the VO does not
   // grow with the table (§3.3). Compare a 2k-row and a 64k-row table.

@@ -207,5 +207,48 @@ TEST(VBTreeResignTest, ResignAllRotatesSignatures) {
   EXPECT_EQ(*rec.Recover(db->tree->root_signature()), old_digest);
 }
 
+/// Pins the write path's counted crypto work (Cost_h, Cost_k and
+/// signatures) over a seeded sequence of inserts and range deletes: a
+/// leaf insert folds the tuple digest in with one Extend, every other
+/// changed node recombines with CombineDigests, and every changed node
+/// is re-signed once. Any change to that rule moves these counts.
+TEST(VBTreeUpdateTest, WriteCryptoWorkIsPinned) {
+  auto db = MakeTestDb(300, /*ncols=*/5, /*max_fanout=*/8, /*stride=*/10);
+  ASSERT_NE(db, nullptr);
+  CryptoCounters counters;
+  db->tree->set_counters(&counters);
+  const uint64_t signs_before = db->tree->sign_calls();
+
+  std::set<int64_t> keys;
+  for (int64_t k : db->tree->AllKeys()) keys.insert(k);
+  Rng rng(2718);
+  int inserts = 0;
+  int deletes = 0;
+  while (inserts < 400) {
+    int64_t k = static_cast<int64_t>(rng.Uniform(6000));
+    if (!keys.insert(k).second) continue;
+    Tuple t = MakeTuple(db->schema, k, &rng);
+    ASSERT_TRUE(db->tree->Insert(t).ok());
+    db->store->Put(t);
+    if (++inserts % 20 == 0) {
+      int64_t lo = static_cast<int64_t>(rng.Uniform(6000));
+      int64_t hi = lo + static_cast<int64_t>(rng.Uniform(120));
+      ASSERT_TRUE(db->tree->DeleteRange(lo, hi).ok());
+      keys.erase(keys.lower_bound(lo), keys.upper_bound(hi));
+      deletes++;
+    }
+  }
+  ASSERT_EQ(deletes, 20);
+
+  // 400 inserts x 5 attribute digests; no delete hashes an attribute.
+  EXPECT_EQ(counters.attr_hashes.load(), 2000u);
+  EXPECT_EQ(counters.combine_ops.load(), 9243u);
+  EXPECT_EQ(db->tree->sign_calls() - signs_before, 4150u);
+  EXPECT_EQ(db->tree->size(), keys.size());
+  db->tree->set_counters(nullptr);
+  EXPECT_TRUE(db->tree->CheckDigestConsistency().ok());
+  EXPECT_TRUE(db->tree->CheckStructure().ok());
+}
+
 }  // namespace
 }  // namespace vbtree
